@@ -60,7 +60,6 @@ from .simulate import (
     iss_gain,
     rollout,
     sample_dataset,
-    smoothness_metrics,
 )
 from .smoothing import RandomizedPolicy, SmoothingConfig, pi_rs, tradeoff_audit
 

@@ -22,7 +22,7 @@ from .core import CondensedQP, feasible_radii
 from .errors import InfeasibleError, NewtonConvergenceError
 from .explicit import gain_for_sigma
 from .matrixops import all_sigmas, is_singular_submatrix
-from .qp import farkas_certificate
+from .qp import chebyshev_center
 
 __all__ = [
     "BarrierProblem",
@@ -74,9 +74,6 @@ class BarrierProblem:
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
 
-    def with_eta(self, eta: float) -> "BarrierProblem":
-        return BarrierProblem(qp=self.qp, eta=float(eta), d=self.d, nu=self.nu)
-
 
 def make_barrier_problem(qp: CondensedQP, eta: float,
                          outer_radius: float | None = None) -> BarrierProblem:
@@ -102,27 +99,25 @@ class BarrierSolution:
     newton_iters: int
     grad_norm: float
     decrements: tuple
-    jacobian: np.ndarray | None = None
 
 
-def _strict_start(qp: CondensedQP, b: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Chebyshev center of the rows that actually constrain u."""
-    from scipy.optimize import linprog
+def _strict_start(G: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Chebyshev center of {u : G u <= b}, the rows that actually constrain u.
 
-    G = qp.G[active]
-    norms = np.linalg.norm(G, axis=1)
-    n = qp.n
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([G, norms[:, None]])
-    res = linprog(c, A_ub=A_ub, b_ub=b[active], bounds=[(None, None)] * n + [(0, None)],
-                  method="highs")
-    if res.status == 2 or not res.success:
-        raise InfeasibleError("no strictly feasible input sequence",
-                              certificate=farkas_certificate(qp.G, b))
-    if res.x[n] <= 0:
+    ``active`` marks those rows among all m; an infeasibility certificate
+    is scattered back to length m.
+    """
+    try:
+        center, r = chebyshev_center(G, b)
+    except InfeasibleError as err:
+        cert = err.certificate
+        if cert is not None:
+            cert = np.zeros(active.size)
+            cert[active] = err.certificate
+        raise InfeasibleError("no strictly feasible input sequence", certificate=cert) from err
+    if r <= 0:
         raise InfeasibleError("constraint polytope has empty interior")
-    return res.x[:n]
+    return center
 
 
 def _newton(u, value, grad, hess, phi_of, max_iter, tol, record=None):
@@ -173,7 +168,6 @@ def _newton(u, value, grad, hess, phi_of, max_iter, tol, record=None):
 
 
 def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
-                  want_jacobian: bool = False,
                   max_iter: int = MAX_NEWTON_ITERS) -> BarrierSolution:
     """Minimize the barrier objective at x0 to gradient tolerance.
 
@@ -190,7 +184,10 @@ def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
     row_norms = np.linalg.norm(qp.G, axis=1)
     active = row_norms > 0.0
     if np.any(b[~active] <= 0.0):
-        raise InfeasibleError("a residual that no input affects is non-positive at x0")
+        # a negative such residual is its own Farkas certificate
+        cert = np.where(~active & (b < 0.0), 1.0, 0.0)
+        raise InfeasibleError("a residual that no input affects is non-positive at x0",
+                              certificate=cert if cert.any() else None)
 
     G = qp.G[active]
     ba = b[active]
@@ -202,7 +199,7 @@ def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
     def phi_of(u):
         return ba - G @ u
 
-    u = _strict_start(qp, b, active)
+    u = _strict_start(G, ba, active)
 
     # phase I: approach the analytic center of the recentered barrier
     def bval(u):
@@ -245,14 +242,8 @@ def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
                 f"Newton stalled at gradient norm {gnorm:.3e} (tol {tol:.3e})",
                 last_iterate=u, grad_norm=gnorm, iters=iters)
 
-    phi_full = b - qp.G @ u
-    sol = BarrierSolution(u_eta=u, phi=phi_full, newton_iters=iters,
-                          grad_norm=gnorm, decrements=tuple(decs))
-    if want_jacobian:
-        jac = barrier_jacobian(bp, sol, x0)
-        sol = BarrierSolution(u_eta=u, phi=phi_full, newton_iters=iters,
-                              grad_norm=gnorm, decrements=tuple(decs), jacobian=jac)
-    return sol
+    return BarrierSolution(u_eta=u, phi=b - qp.G @ u, newton_iters=iters,
+                           grad_norm=gnorm, decrements=tuple(decs))
 
 
 def barrier_jacobian(bp: BarrierProblem, sol: BarrierSolution, x0: np.ndarray) -> np.ndarray:
@@ -369,14 +360,12 @@ def tensor_spectral_norm(T: np.ndarray, restarts: int = 8, iters: int = 200,
     if d == 1:
         return float(np.linalg.norm(T[:, :, 0], 2))
     if d == 2:
-        best = 0.0
         thetas = np.linspace(0.0, np.pi, 721)
-        for th in thetas:
-            y = np.array([np.cos(th), np.sin(th)])
-            best = max(best, float(np.linalg.norm(T @ y, 2)))
+        sweep = [float(np.linalg.norm(T @ np.array([np.cos(th), np.sin(th)]), 2))
+                 for th in thetas]
+        best = max(sweep)
         # local refinement around the best angle
-        i = int(np.argmax([np.linalg.norm(T @ np.array([np.cos(t), np.sin(t)]), 2)
-                           for t in thetas]))
+        i = int(np.argmax(sweep))
         lo, hi = thetas[max(i - 1, 0)], thetas[min(i + 1, len(thetas) - 1)]
         for _ in range(60):
             mid1 = lo + (hi - lo) / 3

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import BarrierProblem, _newton
-from .core import CondensedQP, FeasibleRadii, feasible_radii
+from .core import CondensedQP, FeasibleRadii, feasible_radii, polytope_radii
 from .errors import InfeasibleError
-from .qp import raw_solve_qp
+from .qp import bounding_box, chebyshev_center, raw_solve_qp
 
 __all__ = [
     "BoundReport",
@@ -206,12 +206,11 @@ def hessian_upper_bound(bp: BarrierProblem, x0: np.ndarray, L: float, C: float,
 
 
 def newton_log_barrier(Hq: np.ndarray, lin: np.ndarray, G: np.ndarray, b: np.ndarray,
-                       eta: float, x_init: np.ndarray | None = None,
-                       tol: float = 1e-12, max_iter: int = 400) -> np.ndarray:
+                       eta: float, tol: float = 1e-12, max_iter: int = 400) -> np.ndarray:
     """Minimize 0.5 x^T Hq x + lin^T x - eta sum_i log(b_i - g_i^T x).
 
     Oracle-grade Newton solve on an arbitrary polytope with the pure log
-    barrier, started from the Chebyshev center unless ``x_init`` is given.
+    barrier, started from the Chebyshev center.
     """
     Hq = np.asarray(Hq, dtype=float)
     lin = np.asarray(lin, dtype=float)
@@ -221,18 +220,9 @@ def newton_log_barrier(Hq: np.ndarray, lin: np.ndarray, G: np.ndarray, b: np.nda
     def phi_of(x):
         return b - G @ x
 
-    if x_init is None:
-        from scipy.optimize import linprog
-
-        n = G.shape[1]
-        norms = np.linalg.norm(G, axis=1)
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        res = linprog(c, A_ub=np.hstack([G, norms[:, None]]), b_ub=b,
-                      bounds=[(None, None)] * n + [(0, None)], method="highs")
-        if not res.success or res.x[n] <= 0:
-            raise InfeasibleError("polytope has empty interior")
-        x_init = res.x[:n]
+    x_init, r = chebyshev_center(G, b)
+    if r <= 0:
+        raise InfeasibleError("polytope has empty interior")
 
     def value(x):
         return float(0.5 * x @ Hq @ x + lin @ x - eta * np.sum(np.log(phi_of(x))))
@@ -271,23 +261,8 @@ def quad_opt_bounds(G: np.ndarray, b: np.ndarray, Hmat: np.ndarray, v: np.ndarra
     x_eta = newton_log_barrier(Hmat, -(Hmat @ v), G, b, eta)
 
     # concentric radii around the Chebyshev center
-    from scipy.optimize import linprog
-
-    n = G.shape[1]
-    norms = np.linalg.norm(G, axis=1)
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=np.hstack([G, norms[:, None]]), b_ub=b,
-                  bounds=[(None, None)] * n + [(0, None)], method="highs")
-    center, r = res.x[:n], float(res.x[n])
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        hi[j] = -linprog(-e, A_ub=G, b_ub=b, bounds=[(None, None)] * n, method="highs").fun
-        lo[j] = linprog(e, A_ub=G, b_ub=b, bounds=[(None, None)] * n, method="highs").fun
-    R = float(np.linalg.norm(np.maximum(np.abs(lo - center), np.abs(hi - center))))
+    radii = polytope_radii(G, b)
+    r, R = radii.r, radii.R_center
 
     ctx = {"eta": eta, "nu": nu, "m_eig": m_eig, "M_eig": M_eig, "r": r, "R": R}
     reports = [
@@ -306,7 +281,7 @@ def quad_opt_bounds(G: np.ndarray, b: np.ndarray, Hmat: np.ndarray, v: np.ndarra
             (math.sqrt(eta + Dh * Dh) - Dh) / math.sqrt(nu * M_eig),
             math.sqrt(m_eig / M_eig) * r / (2.0 * nu + 4.0 * math.sqrt(nu)),
         )
-        dist = float(np.min((b - G @ x_eta) / norms))
+        dist = float(np.min((b - G @ x_eta) / np.linalg.norm(G, axis=1)))
         reports.append(BoundReport.check("quad_ball_radius", radius, dist, ctx))
         reports.append(BoundReport.check("quad_directional_lower", radius, gap, ctx))
     else:
@@ -402,16 +377,7 @@ def barrier_axioms_check(G: np.ndarray, b: np.ndarray, R: float,
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = G.shape
-
-    from scipy.optimize import linprog
-
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        hi[j] = -linprog(-e, A_ub=G, b_ub=b, bounds=[(None, None)] * n, method="highs").fun
-        lo[j] = linprog(e, A_ub=G, b_ub=b, bounds=[(None, None)] * n, method="highs").fun
+    lo, hi = bounding_box(G, b)
 
     def sample(strict: bool):
         pts = []

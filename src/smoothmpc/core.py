@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import InfeasibleError, UnboundedError
+from .qp import bounding_box, chebyshev_center
 
 __all__ = [
     "LinearSystem",
@@ -32,6 +31,7 @@ __all__ = [
     "stacked_maps",
     "build_condensed",
     "residuals",
+    "polytope_radii",
     "feasible_radii",
     "box_constraints",
     "load_problem",
@@ -251,14 +251,11 @@ def build_condensed(
     sys: LinearSystem,
     cost: StageCost,
     cons: BoxlikeConstraints,
-    dedup: bool = False,
 ) -> CondensedQP:
     """Condense the finite-horizon problem into the input sequence.
 
     Constraint rows are ordered inputs first (u_0..u_{T-1}) then states
-    (x_1..x_T), so m = T*k_u + T*k_x. Redundant rows are kept unless
-    ``dedup`` is set, in which case exact duplicate (g, w, p) rows are
-    dropped.
+    (x_1..x_T), so m = T*k_u + T*k_x. Redundant rows are kept.
     """
     T = cost.horizon
     d_x, d_u = sys.d_x, sys.d_u
@@ -291,12 +288,6 @@ def build_condensed(
     P = np.vstack([np.zeros((T * cons.k_u, d_x)), -Ax_stack @ maps.Ahat])
     w = np.concatenate([bu_stack, bx_stack])
 
-    if dedup:
-        rows = np.hstack([G, P, w[:, None]])
-        _, keep = np.unique(np.round(rows, 12), axis=0, return_index=True)
-        keep = np.sort(keep)
-        G, P, w = G[keep], P[keep], w[keep]
-
     return CondensedQP(H=H, F=F, G=G, w=w, P=P, d_x=d_x, d_u=d_u, T=T)
 
 
@@ -326,60 +317,24 @@ class FeasibleRadii:
     hi: np.ndarray
 
 
-_LINPROG_OPTS = {"presolve": True}
-
-
-def _chebyshev(G: np.ndarray, b: np.ndarray):
-    m, n = G.shape
-    norms = np.linalg.norm(G, axis=1)
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([G, norms[:, None]])
-    bounds = [(None, None)] * n + [(0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b, bounds=bounds, method="highs", options=_LINPROG_OPTS)
-    if res.status == 2:
-        cert = None
-        if res.ineqlin is not None and res.ineqlin.marginals is not None:
-            cert = np.maximum(-res.ineqlin.marginals, 0.0)
-        raise InfeasibleError("constraint polytope is empty", certificate=cert)
-    if res.status == 3:
-        raise UnboundedError("constraint polytope is unbounded")
-    if not res.success:
-        raise RuntimeError(f"Chebyshev LP failed: {res.message}")
-    return res.x[:n], float(res.x[n])
-
-
-def _support(G: np.ndarray, b: np.ndarray, direction: np.ndarray) -> float:
-    res = linprog(-direction, A_ub=G, b_ub=b, bounds=[(None, None)] * G.shape[1],
-                  method="highs", options=_LINPROG_OPTS)
-    if res.status == 3:
-        raise UnboundedError("constraint polytope is unbounded")
-    if not res.success:
-        raise RuntimeError(f"support LP failed: {res.message}")
-    return float(-res.fun)
-
-
-def feasible_radii(qp: CondensedQP, x0: np.ndarray) -> FeasibleRadii:
-    """Chebyshev radius and enclosing-ball bounds of {u : G u <= w + P x0}.
+def polytope_radii(G: np.ndarray, b: np.ndarray) -> FeasibleRadii:
+    """Chebyshev radius and enclosing-ball bounds of {u : G u <= b}.
 
     R comes from 2n support LPs: the coordinate box [lo, hi] enclosing the
     polytope, whose farthest corner from the origin bounds max ||u||.
-    Raises InfeasibleError (with a Farkas certificate when available) on an
-    empty polytope and UnboundedError when some coordinate is unbounded.
+    Raises InfeasibleError (with a Farkas certificate) on an empty
+    polytope and UnboundedError when some coordinate is unbounded.
     """
-    b = qp.bounds_rhs(x0)
-    center, r = _chebyshev(qp.G, b)
-    n = qp.n
-    hi = np.empty(n)
-    lo = np.empty(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        hi[j] = _support(qp.G, b, e)
-        lo[j] = -_support(qp.G, b, -e)
+    center, r = chebyshev_center(G, b)
+    lo, hi = bounding_box(G, b)
     R = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
     R_center = float(np.linalg.norm(np.maximum(np.abs(lo - center), np.abs(hi - center))))
     return FeasibleRadii(r=r, R=R, center=center, R_center=R_center, lo=lo, hi=hi)
+
+
+def feasible_radii(qp: CondensedQP, x0: np.ndarray) -> FeasibleRadii:
+    """``polytope_radii`` of the input-sequence polytope {u : G u <= w + P x0}."""
+    return polytope_radii(qp.G, qp.bounds_rhs(x0))
 
 
 def box_constraints(d_x: int, d_u: int, state_bound, input_bound) -> BoxlikeConstraints:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from .barrier import (
@@ -38,6 +37,7 @@ from .core import CondensedQP, build_condensed, feasible_radii, load_problem
 from .errors import InfeasibleError
 from .explicit import PieceTableEvaluator, c_constant, discover_pieces, max_gain_norm, state_grid
 from .mlp import TrainConfig, train_imitator
+from .qp import support
 from .simulate import ImitationDataset, imitation_error, rollout, sample_dataset
 from .smoothing import RandomizedPolicy, SmoothingConfig
 
@@ -63,16 +63,12 @@ def feasible_polygon(qp: CondensedQP, n_directions: int = 720) -> np.ndarray:
     """
     if qp.d_x != 2:
         raise ValueError("polygon recovery requires a 2-D state")
-    A_ub = np.hstack([-qp.P, qp.G])
+    G_xu = np.hstack([-qp.P, qp.G])
     pts = []
     for th in np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False):
         c = np.zeros(2 + qp.n)
-        c[0], c[1] = -np.cos(th), -np.sin(th)
-        res = linprog(c, A_ub=A_ub, b_ub=qp.w, bounds=[(None, None)] * (2 + qp.n),
-                      method="highs")
-        if not res.success:
-            raise RuntimeError(f"support LP failed: {res.message}")
-        pts.append(res.x[:2])
+        c[0], c[1] = np.cos(th), np.sin(th)
+        pts.append(support(G_xu, qp.w, c)[0][:2])
     pts = np.array(pts)
     hull = ConvexHull(pts)
     return pts[hull.vertices]
@@ -270,12 +266,41 @@ def _sup_error(policy, reference, pts: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(a[ok] - b[ok], axis=1)))
 
 
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: limit a worker process to one BLAS thread.
+
+    Forked workers inherit the parent's BLAS thread count, so ``jobs``
+    workers run jobs x cores threads on the cores, and the small matrix
+    products of MLP training run about twice as slowly. Does nothing when
+    no OpenBLAS is loaded or the process map cannot be read.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line and ".so" in line})
+    except OSError:
+        return
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
+                return
+
+
 def _pmap(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as ex:
         return list(ex.map(fn, items))
 
 

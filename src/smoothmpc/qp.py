@@ -5,8 +5,11 @@ definite, by a primal active-set method with smallest-index (Bland)
 anti-cycling rules. Exact active sets at the optimizer are required
 downstream, which rules out interior-point solvers here.
 
-A dual accelerated projected-gradient oracle and a Euclidean polytope
-projection are provided for independent cross-checks.
+Every linear program of the package runs here: the Chebyshev-center
+and support LPs over {z : G z <= b}, with one mapping of HiGHS statuses
+to exceptions, and the Farkas certificate of an empty polytope. A dual
+accelerated projected-gradient oracle is provided for independent
+cross-checks.
 """
 
 from __future__ import annotations
@@ -16,9 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, UnboundedError
 
-__all__ = ["RawQPSolution", "raw_solve_qp", "dual_ascent_qp", "project_polytope", "farkas_certificate"]
+__all__ = [
+    "RawQPSolution",
+    "raw_solve_qp",
+    "dual_ascent_qp",
+    "chebyshev_center",
+    "support",
+    "bounding_box",
+    "farkas_certificate",
+]
 
 
 @dataclass(frozen=True)
@@ -30,21 +41,50 @@ class RawQPSolution:
     iterations: int
 
 
-def _feasible_start(G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Chebyshev-center LP; raises InfeasibleError with a Farkas certificate."""
-    m, n = G.shape
+def _solve_lp(c: np.ndarray, A_ub: np.ndarray, G: np.ndarray, b: np.ndarray, bounds: list):
+    """HiGHS LP over rows A_ub <= b that describe {z : G z <= b}.
+
+    Status 2 raises InfeasibleError with a Farkas certificate for (G, b),
+    status 3 UnboundedError, and any other failure RuntimeError.
+    """
+    res = linprog(c, A_ub=A_ub, b_ub=b, bounds=bounds, method="highs")
+    if res.status == 2:
+        raise InfeasibleError("constraint polytope is empty",
+                              certificate=farkas_certificate(G, b))
+    if res.status == 3:
+        raise UnboundedError("constraint polytope is unbounded")
+    if not res.success:
+        raise RuntimeError(f"LP failed: {res.message}")
+    return res
+
+
+def chebyshev_center(G: np.ndarray, b: np.ndarray) -> tuple:
+    """Center and radius of the largest ball inside {z : G z <= b}."""
+    n = G.shape[1]
     norms = np.linalg.norm(G, axis=1)
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    A_ub = np.hstack([G, norms[:, None]])
-    res = linprog(c, A_ub=A_ub, b_ub=b, bounds=[(None, None)] * n + [(0, None)],
-                  method="highs")
-    if res.status == 2:
-        raise InfeasibleError("QP constraints are infeasible",
-                              certificate=farkas_certificate(G, b))
-    if not res.success:
-        raise RuntimeError(f"phase-1 LP failed: {res.message}")
-    return res.x[:n]
+    res = _solve_lp(c, np.hstack([G, norms[:, None]]), G, b, [(None, None)] * n + [(0, None)])
+    return res.x[:n], float(res.x[n])
+
+
+def support(G: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """Maximizer and maximum of c^T z over {z : G z <= b}."""
+    res = _solve_lp(-c, G, G, b, [(None, None)] * G.shape[1])
+    return res.x, float(-res.fun)
+
+
+def bounding_box(G: np.ndarray, b: np.ndarray) -> tuple:
+    """Coordinate box [lo, hi] enclosing {z : G z <= b}, from 2n support LPs."""
+    n = G.shape[1]
+    lo = np.empty(n)
+    hi = np.empty(n)
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        hi[j] = support(G, b, e)[1]
+        lo[j] = -support(G, b, -e)[1]
+    return lo, hi
 
 
 def farkas_certificate(G: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -90,7 +130,7 @@ def raw_solve_qp(
     if z0 is not None and np.all(G @ z0 - b <= 1e-9 * scale_b):
         z = np.asarray(z0, dtype=float).copy()
     else:
-        z = _feasible_start(G, b)
+        z = chebyshev_center(G, b)[0]
     # clip tiny phase-1 violations back onto the feasible side
     viol = G @ z - b
     if viol.max(initial=-np.inf) > 0:
@@ -192,11 +232,3 @@ def dual_ascent_qp(
         prev, t, lam = lam_new, t_new, lam_new
     return -Hinv_q - Hinv_GT @ lam
 
-
-def project_polytope(p: np.ndarray, G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean projection of p onto {z : G z <= b}."""
-    p = np.asarray(p, dtype=float)
-    if np.all(G @ p <= b + 1e-12 * (1.0 + np.abs(b))):
-        return p
-    sol = raw_solve_qp(np.eye(p.size), -p, G, b)
-    return sol.z

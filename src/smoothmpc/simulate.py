@@ -1,4 +1,4 @@
-"""Closed-loop simulation, dataset generation, and smoothness/stability metrics."""
+"""Closed-loop simulation, dataset generation, imitation and stability metrics."""
 
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ __all__ = [
     "ImitationDataset",
     "sample_dataset",
     "imitation_error",
-    "smoothness_metrics",
-    "grid_with_neighbors",
     "iss_gain",
 ]
 
@@ -181,64 +179,6 @@ def imitation_error(sys: LinearSystem, expert, learner, eval_states: np.ndarray,
         "sup_policy_error": sup_policy,
         "sup_jacobian_error": sup_jac,
     }
-
-
-def grid_with_neighbors(lo, hi, resolution: int):
-    """Mesh points over a box plus index pairs of axis-adjacent neighbors."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    d = lo.size
-    axes = [np.linspace(lo[j], hi[j], resolution) for j in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    shape = (resolution,) * d
-    idx = np.arange(pts.shape[0]).reshape(shape)
-    pairs = []
-    for axis in range(d):
-        a = np.moveaxis(idx, axis, 0)
-        pairs.append(np.stack([a[:-1].ravel(), a[1:].ravel()], axis=1))
-    return pts, np.vstack(pairs)
-
-
-def smoothness_metrics(policy, points: np.ndarray, neighbors: np.ndarray,
-                       h: float = 1e-4, jacobian=None) -> dict:
-    """Worst-case first/second-difference smoothness of a policy on a grid.
-
-    L0_max is the max finite-difference Jacobian spectral norm over the
-    points; L1_max the max Jacobian variation between neighboring points
-    divided by their distance. Points where evaluation fails are skipped
-    and counted. An analytic ``jacobian`` callable replaces differencing.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = points.shape
-    jacs = [None] * n
-    skipped = 0
-    for i, x in enumerate(points):
-        try:
-            if jacobian is not None:
-                jacs[i] = np.atleast_2d(jacobian(x))
-            else:
-                cols = []
-                for j in range(d):
-                    e = np.zeros(d)
-                    e[j] = h
-                    cols.append((np.atleast_1d(policy(x + e))
-                                 - np.atleast_1d(policy(x - e))) / (2 * h))
-                jacs[i] = np.stack(cols, axis=1)
-        except Exception:
-            skipped += 1
-    L0 = 0.0
-    for J in jacs:
-        if J is not None:
-            L0 = max(L0, float(np.linalg.norm(J, 2)))
-    L1 = 0.0
-    for i, j in neighbors:
-        if jacs[i] is None or jacs[j] is None:
-            continue
-        dist = float(np.linalg.norm(points[i] - points[j]))
-        if dist > 0:
-            L1 = max(L1, float(np.linalg.norm(jacs[i] - jacs[j], 2)) / dist)
-    return {"L0_max": L0, "L1_max": L1, "skipped": skipped}
 
 
 def iss_gain(epsilon: float, L: float, normA: float, normB: float,

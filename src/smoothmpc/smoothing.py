@@ -9,6 +9,7 @@ finite-difference gradients of the smoothed policy low-variance.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +71,16 @@ class RSEvaluation:
 
 
 def _evaluate_samples(policy, X: np.ndarray) -> np.ndarray:
-    """Policy values row-wise; NaN rows mark failed evaluations."""
+    """Policy values row-wise; NaN rows mark failed evaluations.
+
+    A batch evaluator that takes ``fallback`` is asked for NaN rows in
+    place of its own fallback path.
+    """
     batch = getattr(policy, "eval_batch", None)
     if batch is not None:
-        try:
+        if "fallback" in inspect.signature(batch).parameters:
             return np.atleast_2d(batch(X, fallback="nan"))
-        except TypeError:
-            return np.atleast_2d(batch(X))
+        return np.atleast_2d(batch(X))
     rows = []
     for x in X:
         try:

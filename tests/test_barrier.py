@@ -145,6 +145,20 @@ def test_infeasible_state_signals(di_qp, di_radius):
         solve_barrier(bp, np.array([12.0, 8.0]))
 
 
+@pytest.mark.parametrize("x0", [[12.0, 8.0], [0.0, 9.9]])
+def test_infeasible_state_certificate_has_length_m(di_qp, di_radius, x0):
+    # [12, 8] fails a residual no input affects; [0, 9.9] fails the
+    # Chebyshev LP over the rows that do, whose certificate is scattered
+    bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=di_radius)
+    x0 = np.array(x0)
+    with pytest.raises(InfeasibleError) as exc:
+        solve_barrier(bp, x0)
+    y = exc.value.certificate
+    assert y is not None and y.shape == (di_qp.m,) and y.min() >= 0
+    assert np.linalg.norm(di_qp.G.T @ y) <= 1e-6 * np.linalg.norm(y)
+    assert y @ di_qp.bounds_rhs(x0) < 0
+
+
 def test_jacobian_formula_at_origin(di_qp, di_radius):
     # u_eta(0) = 0 makes phi = w exactly, for every eta
     for eta in (1e-3, 1.0, 1e3):

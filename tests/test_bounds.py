@@ -248,6 +248,12 @@ def test_quad_opt_bounds_center_case():
     assert gap.lhs <= 1e-9  # x_eta = x_star = center by symmetry
 
 
+def test_newton_log_barrier_flat_polytope():
+    G = np.array([[1.0], [-1.0]])
+    with pytest.raises(InfeasibleError, match="empty interior"):
+        newton_log_barrier(np.eye(1), np.zeros(1), G, np.zeros(2), eta=0.1)
+
+
 def test_quad_opt_gap_shrinks_with_eta():
     rng = np.random.default_rng(33)
     G, b = random_bounded_polytope(rng, 2, 3)

@@ -211,6 +211,19 @@ def test_feasible_radii_infeasible_signal(di_qp):
         feasible_radii(di_qp, np.array([8.0, 2.0]))
 
 
+def _assert_farkas(G, b, y):
+    assert y is not None and y.min() >= 0
+    assert np.linalg.norm(G.T @ y) <= 1e-6 * np.linalg.norm(y)
+    assert y @ b < 0
+
+
+def test_feasible_radii_infeasible_certificate(di_qp):
+    x0 = np.array([12.0, 8.0])
+    with pytest.raises(InfeasibleError) as exc:
+        feasible_radii(di_qp, x0)
+    _assert_farkas(di_qp.G, di_qp.bounds_rhs(x0), exc.value.certificate)
+
+
 def test_feasible_radii_unbounded_signal():
     sys_ = LinearSystem(A=np.zeros((1, 1)), B=np.zeros((1, 1)))
     cost = StageCost(Q=np.eye(1), R=np.eye(1), horizon=1)

@@ -7,7 +7,9 @@ from smoothmpc.config import default_config
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import (
     Workbench,
+    _pmap,
     bounds_sweep,
+    expert_smoothness,
     feasible_polygon,
     imitation_run,
     matched_levels,
@@ -124,6 +126,11 @@ def test_bounds_sweep_negative_control(bench):
     assert all(r.satisfied for r in reports2)
 
 
+def test_pmap_workers_match_serial_order():
+    items = [-3.0, 2.0, -1.0, 4.0]
+    assert _pmap(abs, items, jobs=2) == _pmap(abs, items, jobs=1) == [3.0, 2.0, 1.0, 4.0]
+
+
 def test_imitation_run_smoke(bench, tmp_path):
     cfg = TrainConfig(steps=120, batch_size=64, width=16)
     expert = bench.barrier_expert(1.0)
@@ -143,9 +150,36 @@ def test_bounds_sweep_skips_nonpositive_eta(bench):
     assert all(r["eta"] == 0.1 for r in rows)
 
 
-def test_small_smoothing_approaches_explicit_metrics(bench):
-    from smoothmpc.experiments import expert_smoothness
+def test_slice_smoothness_linear_law():
+    K = np.array([[0.5, -1.5]])
+    h = 1e-5
 
+    def fd_jacobian(x):
+        cols = [(K @ (x + h * e) - K @ (x - h * e)) / (2 * h) for e in np.eye(2)]
+        return np.stack(cols, axis=1)
+
+    out = expert_smoothness(fd_jacobian, feature_scale=0.1)
+    assert abs(out["L0_max"] - np.linalg.norm(K, 2)) <= 1e-6
+    assert out["L1_max"] <= 1e-6
+
+
+def test_slice_smoothness_explicit_grows_with_resolution(bench):
+    vals = [expert_smoothness(bench.table.jacobian, feature_scale=s)["L1_max"]
+            for s in (1.0, 0.01)]
+    assert vals[1] >= vals[0]  # kinks make the estimate grow as the step shrinks
+    assert vals[1] > 1.0
+
+
+def test_slice_smoothness_barrier_monotone_in_eta(bench):
+    last = np.inf
+    for eta in (0.1, 1.0, 10.0):
+        scale = float(np.clip(0.1 * np.sqrt(eta), 2e-3, 0.25))
+        L1 = expert_smoothness(bench.barrier_expert(eta).jacobian, feature_scale=scale)["L1_max"]
+        assert L1 <= last * 1.05
+        last = L1
+
+
+def test_small_smoothing_approaches_explicit_metrics(bench):
     explicit_met = expert_smoothness(bench.table.jacobian, feature_scale=0.02)
     b_exp = bench.barrier_expert(1e-4)
     met_b = expert_smoothness(b_exp.jacobian, feature_scale=0.02)

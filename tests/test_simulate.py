@@ -5,14 +5,7 @@ import pytest
 
 from smoothmpc.core import build_condensed, double_integrator_problem
 from smoothmpc.explicit import pi_mpc
-from smoothmpc.simulate import (
-    grid_with_neighbors,
-    imitation_error,
-    iss_gain,
-    rollout,
-    sample_dataset,
-    smoothness_metrics,
-)
+from smoothmpc.simulate import imitation_error, iss_gain, rollout, sample_dataset
 
 
 @pytest.fixture(scope="module")
@@ -108,42 +101,6 @@ def test_imitation_error_perturbed_policy(di):
     out = imitation_error(sys_, expert, shifted, np.array([[2.0, 0.5]]), K=10)
     assert out["max_traj_error"][0] > 0.05  # deviation accumulates through the loop
     assert out["sup_policy_error"] >= 0.05 - 1e-9
-
-
-def test_smoothness_metrics_linear_policy():
-    K = np.array([[0.5, -1.5]])
-    pts, nb = grid_with_neighbors([-2, -2], [2, 2], 9)
-    out = smoothness_metrics(lambda x: K @ x, pts, nb, h=1e-5)
-    assert abs(out["L0_max"] - np.linalg.norm(K, 2)) <= 1e-6
-    assert out["L1_max"] <= 1e-6
-
-
-def test_smoothness_metrics_explicit_grows_with_resolution(di):
-    sys_, qp = di
-    pol = lambda x: pi_mpc(qp, x)
-    vals = []
-    for res in (9, 17):
-        pts, nb = grid_with_neighbors([-4, -1], [4, 1], res)
-        out = smoothness_metrics(pol, pts, nb, h=1e-6)
-        vals.append(out["L1_max"])
-    assert vals[1] >= vals[0]  # kinks make the grid-max grow as the grid refines
-    assert vals[1] > 1.0
-
-
-def test_smoothness_metrics_barrier_monotone(di):
-    from smoothmpc.barrier import make_barrier_problem
-    from smoothmpc.core import feasible_radii
-    from smoothmpc.experiments import BarrierExpert
-
-    sys_, qp = di
-    R = feasible_radii(qp, np.zeros(2)).R
-    pts, nb = grid_with_neighbors([-4, -1.5], [4, 1.5], 13)
-    last = np.inf
-    for eta in (0.1, 1.0, 10.0):
-        expert = BarrierExpert(make_barrier_problem(qp, eta, outer_radius=R))
-        out = smoothness_metrics(None, pts, nb, jacobian=expert.jacobian)
-        assert out["L1_max"] <= last * 1.05
-        last = out["L1_max"]
 
 
 def test_iss_gain_structure():

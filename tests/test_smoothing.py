@@ -97,6 +97,27 @@ def test_failure_signal_over_half():
         pi_rs(flaky, cfg, np.array([3.0]))
 
 
+def test_batch_type_error_propagates():
+    class BrokenNanPath:
+        def eval_batch(self, X, fallback="qp"):
+            if fallback == "nan":
+                raise TypeError("nan path failed")
+            return np.zeros((len(X), 1))
+
+    cfg = SmoothingConfig(sigma=1.0, distribution="gaussian", n_samples=10, seed=0)
+    with pytest.raises(TypeError, match="nan path failed"):
+        pi_rs(BrokenNanPath(), cfg, np.array([0.0]))
+
+
+def test_batch_without_fallback_is_called_plainly():
+    class PlainBatch:
+        def eval_batch(self, X):
+            return np.ones((len(X), 1))
+
+    cfg = SmoothingConfig(sigma=1.0, distribution="gaussian", n_samples=10, seed=0)
+    assert pi_rs(PlainBatch(), cfg, np.array([0.0])).u[0] == 1.0
+
+
 def test_randomized_policy_jacobian_crn():
     cfg = SmoothingConfig(sigma=0.3, distribution="gaussian", n_samples=3000, seed=5)
     rs = RandomizedPolicy(clip_policy, cfg)
