@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .core import CondensedQP, feasible_radii
 from .errors import InfeasibleError, NewtonConvergenceError
@@ -101,20 +103,26 @@ class BarrierSolution:
     decrements: tuple
 
 
+def _scatter_certificate(err: InfeasibleError, active: np.ndarray) -> np.ndarray | None:
+    """The certificate of ``err`` over the ``active`` rows, as a length-m vector."""
+    if err.certificate is None:
+        return None
+    cert = np.zeros(active.size)
+    cert[active] = err.certificate
+    return cert
+
+
 def _strict_start(G: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Chebyshev center of {u : G u <= b}, the rows that actually constrain u.
 
     ``active`` marks those rows among all m; an infeasibility certificate
-    is scattered back to length m.
+    is scattered back to length m when it is read.
     """
     try:
         center, r = chebyshev_center(G, b)
     except InfeasibleError as err:
-        cert = err.certificate
-        if cert is not None:
-            cert = np.zeros(active.size)
-            cert[active] = err.certificate
-        raise InfeasibleError("no strictly feasible input sequence", certificate=cert) from err
+        raise InfeasibleError("no strictly feasible input sequence",
+                              certificate=partial(_scatter_certificate, err, active)) from err
     if r <= 0:
         raise InfeasibleError("constraint polytope has empty interior")
     return center
@@ -167,15 +175,18 @@ def _newton(u, value, grad, hess, phi_of, max_iter, tol, record=None):
     return best_u, best_g, max_iter
 
 
-def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
+def solve_barrier(bp: BarrierProblem, x0: np.ndarray, warm: np.ndarray | None = None,
                   max_iter: int = MAX_NEWTON_ITERS) -> BarrierSolution:
     """Minimize the barrier objective at x0 to gradient tolerance.
 
-    Initialization follows a phase-I damped Newton on the pure recentered
-    barrier from the Chebyshev center (guaranteeing strict feasibility
-    independent of eta) before switching to the full objective. Raises
-    InfeasibleError when no strict interior exists and
-    NewtonConvergenceError when 200 iterations do not reach tolerance.
+    Newton starts from the first strictly feasible of ``warm`` (an input
+    sequence, typically the solution at a nearby state or eta), ``warm``
+    shifted by one input block, and u = 0, the exact minimizer at x0 = 0.
+    When none is, the start is a phase-I damped Newton on the pure
+    recentered barrier from the Chebyshev center (guaranteeing strict
+    feasibility independent of eta). Raises InfeasibleError when no
+    strict interior exists and NewtonConvergenceError when 200 iterations
+    do not reach tolerance.
     """
     qp = bp.qp
     eta = bp.eta
@@ -199,20 +210,30 @@ def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
     def phi_of(u):
         return ba - G @ u
 
-    u = _strict_start(G, ba, active)
+    zero = np.zeros(qp.n)
+    starts = [zero]
+    if warm is not None:
+        warm = np.asarray(warm, dtype=float)
+        # the receding-horizon successor of warm: after a closed-loop step
+        # the tail of the previous plan, padded with a zero input, is
+        # usually feasible when the plan itself is not
+        starts = [warm, np.concatenate([warm[qp.d_u:], zero[: qp.d_u]]), zero]
+    u = next((s for s in starts if np.min(phi_of(s), initial=np.inf) > 0), None)
+    if u is None:
+        u = _strict_start(G, ba, active)
 
-    # phase I: approach the analytic center of the recentered barrier
-    def bval(u):
-        return float(-np.sum(np.log(phi_of(u))) + d @ u)
+        # phase I: approach the analytic center of the recentered barrier
+        def bval(u):
+            return float(-np.sum(np.log(phi_of(u))) + d @ u)
 
-    def bgrad(u):
-        return G.T @ (1.0 / phi_of(u)) + d
+        def bgrad(u):
+            return G.T @ (1.0 / phi_of(u)) + d
 
-    def bhess(u):
-        r = 1.0 / phi_of(u)
-        return (G * (r ** 2)[:, None]).T @ G
+        def bhess(u):
+            r = 1.0 / phi_of(u)
+            return (G * (r ** 2)[:, None]).T @ G
 
-    u, _, _ = _newton(u, bval, bgrad, bhess, phi_of, max_iter=30, tol=1e-8)
+        u, _, _ = _newton(u, bval, bgrad, bhess, phi_of, max_iter=30, tol=1e-8)
 
     # main phase: full objective
     def value(u):
@@ -251,20 +272,30 @@ def barrier_jacobian(bp: BarrierProblem, sol: BarrierSolution, x0: np.ndarray) -
 
     du_eta/dx0 = H^{-1} [F^T - G^T (G H^{-1} G^T + eta^{-1} Phi^2)^{-1}
     (G H^{-1} F^T - P)] with Phi = Diag(phi) at the solution. The inner
-    matrix is positive definite whenever all residuals are positive.
+    matrix is positive definite whenever all residuals are positive, and
+    is solved by its Cholesky factor L; (max L_ii / min L_ii)^2, a lower
+    bound on its condition number, above 1e14 (or a failed factorization)
+    draws a warning.
     """
     qp = bp.qp
     phi = np.asarray(sol.phi, dtype=float)
     if np.any(phi <= 0):
         raise ValueError("barrier Jacobian requires strictly positive residuals")
-    Hinv_GT = np.linalg.solve(qp.H, qp.G.T)
-    M = qp.G @ Hinv_GT + np.diag(phi ** 2 / bp.eta)
-    cond = np.linalg.cond(M)
-    if cond > 1e14:
-        warnings.warn(f"barrier Jacobian system is ill-conditioned (cond={cond:.2e})",
+    M = qp.G @ qp.Hinv_GT + np.diag(phi ** 2 / bp.eta)
+    rhs = qp.G @ qp.Hinv_FT - qp.P
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        warnings.warn("barrier Jacobian system is not numerically positive definite",
                       RuntimeWarning)
-    GHF = qp.G @ np.linalg.solve(qp.H, qp.F.T)
-    X = np.linalg.solve(M, GHF - qp.P)
+        X = np.linalg.solve(M, rhs)
+    else:
+        diag = np.diag(L)
+        cond_lb = float((diag.max() / diag.min()) ** 2)
+        if cond_lb > 1e14:
+            warnings.warn(f"barrier Jacobian system is ill-conditioned (cond >= {cond_lb:.2e})",
+                          RuntimeWarning)
+        X = cho_solve((L, True), rhs)
     return np.linalg.solve(qp.H, qp.F.T - qp.G.T @ X)
 
 
@@ -290,8 +321,7 @@ def convex_combination(bp: BarrierProblem, sol: BarrierSolution,
     if qp.m > max_m:
         raise ValueError(f"refusing 2^{qp.m} active-set enumeration (limit m <= {max_m})")
     phi = np.asarray(sol.phi, dtype=float)
-    Hinv_GT = np.linalg.solve(qp.H, qp.G.T)
-    gram = qp.G @ Hinv_GT
+    gram = qp.G @ qp.Hinv_GT
     log_c = np.log(phi ** 2 / bp.eta)
 
     entries = []
@@ -326,21 +356,26 @@ def barrier_hessian(bp: BarrierProblem, x0: np.ndarray,
 
     Central differences of the closed-form Jacobian along coordinate
     directions; the analytic Jacobian is exact, so one finite-difference
-    layer suffices. The step shrinks automatically when a perturbed state
-    leaves the feasible set and fails below 1e-10.
+    layer suffices. Each stencil solve warm-starts from the previous one.
+    The step shrinks automatically when a perturbed state leaves the
+    feasible set and fails below 1e-10.
     """
     x0 = np.asarray(x0, dtype=float)
     d_x = bp.qp.d_x
     h = step if step is not None else 1e-5 * (1.0 + float(np.linalg.norm(x0)))
+    warm = None
     while h >= 1e-10:
         try:
             slabs = []
             for j in range(d_x):
                 e = np.zeros(d_x)
                 e[j] = h
-                jp = barrier_jacobian(bp, solve_barrier(bp, x0 + e), x0 + e)
-                jm = barrier_jacobian(bp, solve_barrier(bp, x0 - e), x0 - e)
-                slabs.append((jp - jm) / (2.0 * h))
+                jacs = []
+                for x in (x0 + e, x0 - e):
+                    sol = solve_barrier(bp, x, warm=warm)
+                    warm = sol.u_eta
+                    jacs.append(barrier_jacobian(bp, sol, x))
+                slabs.append((jacs[0] - jacs[1]) / (2.0 * h))
             return np.stack(slabs, axis=2)
         except InfeasibleError:
             h *= 0.25

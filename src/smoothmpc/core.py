@@ -16,6 +16,7 @@ x0-only constant: H = 2(Rbar + Bhat^T Qbar Bhat), F = -2 Ahat^T Qbar Bhat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -237,6 +238,20 @@ class CondensedQP:
     @property
     def n(self) -> int:
         return self.H.shape[0]
+
+    @cached_property
+    def Hinv_GT(self) -> np.ndarray:
+        """H^{-1} G^T, solved once per program (read-only)."""
+        out = np.linalg.solve(self.H, self.G.T)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def Hinv_FT(self) -> np.ndarray:
+        """H^{-1} F^T, the unconstrained gain, solved once per program (read-only)."""
+        out = np.linalg.solve(self.H, self.F.T)
+        out.setflags(write=False)
+        return out
 
     def bounds_rhs(self, x0: np.ndarray) -> np.ndarray:
         """Right-hand side w + P x0 of the input-sequence polytope."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 
@@ -9,12 +11,22 @@ class InfeasibleError(ValueError):
     """Constraint polytope is empty.
 
     ``certificate`` is a Farkas vector y >= 0 with y^T G = 0 and
-    y^T (w + P x0) < 0 when available.
+    y^T (w + P x0) < 0 when available. It may be given as a zero-argument
+    callable, which runs (once) only when the certificate is read: most
+    callers catch the error without reading it, and computing one costs
+    an LP.
     """
 
-    def __init__(self, message: str, certificate: np.ndarray | None = None):
+    def __init__(self, message: str,
+                 certificate: np.ndarray | Callable[[], np.ndarray | None] | None = None):
         super().__init__(message)
-        self.certificate = certificate
+        self._certificate = certificate
+
+    @property
+    def certificate(self) -> np.ndarray | None:
+        if callable(self._certificate):
+            self._certificate = self._certificate()
+        return self._certificate
 
 
 class UnboundedError(ValueError):

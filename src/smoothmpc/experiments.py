@@ -16,6 +16,7 @@ from scipy.spatial import ConvexHull
 
 from .barrier import (
     BarrierProblem,
+    BarrierSolution,
     barrier_hessian,
     barrier_jacobian,
     make_barrier_problem,
@@ -106,13 +107,34 @@ class PolygonProjector:
 
 
 class BarrierExpert:
-    """Barrier control law with its analytic first-input Jacobian."""
+    """Barrier control law with its analytic first-input Jacobian.
+
+    The expert keeps its last state and solution: each solve warm-starts
+    from that solution (consecutive rollout states and adjacent scan
+    points are close), and a call at the same state, bit for bit, reuses
+    it, so asking for the input and the Jacobian at a state solves once.
+    Results therefore depend on the order of calls, which every caller
+    fixes; build a fresh expert to replay a sequence.
+    """
 
     def __init__(self, bp: BarrierProblem):
         self.bp = bp
+        self._last = None  # (state bytes, BarrierSolution)
+
+    def _solve(self, x: np.ndarray) -> BarrierSolution:
+        x = np.asarray(x, dtype=float)
+        warm = None
+        if self._last is not None:
+            key, sol = self._last
+            if key == x.tobytes():
+                return sol
+            warm = sol.u_eta
+        sol = solve_barrier(self.bp, x, warm=warm)
+        self._last = (x.tobytes(), sol)
+        return sol
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return solve_barrier(self.bp, x).u_eta[: self.bp.qp.d_u]
+        return self._solve(x).u_eta[: self.bp.qp.d_u]
 
     def eval_batch(self, X: np.ndarray, fallback: str = "nan") -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -125,8 +147,7 @@ class BarrierExpert:
         return out
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        sol = solve_barrier(self.bp, x)
-        return barrier_jacobian(self.bp, sol, x)[: self.bp.qp.d_u]
+        return barrier_jacobian(self.bp, self._solve(x), x)[: self.bp.qp.d_u]
 
 
 @dataclass
@@ -417,9 +438,11 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
         except InfeasibleError:
             continue
         kept += 1
+        sol = None
         for eta in eta_grid:
             bp = make_barrier_problem(qp, float(eta), outer_radius=bench.outer_radius)
-            sol = solve_barrier(bp, x0)
+            # the previous eta's minimizer is strictly feasible at the same state
+            sol = solve_barrier(bp, x0, warm=None if sol is None else sol.u_eta)
             err = float(np.linalg.norm(sol.u_eta - u_star))
             ctx = {"x0": tuple(np.round(x0, 6)), "eta": float(eta)}
             eb = error_upper(bp)

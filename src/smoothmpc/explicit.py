@@ -145,15 +145,14 @@ def gain_for_sigma(qp: CondensedQP, sigma: ActiveSet | np.ndarray,
     if sigma.popcount > qp.n:
         raise DegenerateActiveSetError(
             f"active set of size {sigma.popcount} exceeds the {qp.n} inputs")
-    Hinv_GT = np.linalg.solve(qp.H, qp.G.T)
-    gram = qp.G @ Hinv_GT
+    gram = qp.G @ qp.Hinv_GT
     if pseudo:
         Minv = padded_pinv(gram, sigma.sigma)
     else:
         if is_singular_submatrix(gram, sigma.sigma):
             raise DegenerateActiveSetError("singular principal submatrix for sigma")
         Minv = padded_inverse(gram, sigma.sigma)
-    GHF = qp.G @ np.linalg.solve(qp.H, qp.F.T)
+    GHF = qp.G @ qp.Hinv_FT
     K = np.linalg.solve(qp.H, qp.F.T - qp.G.T @ (Minv @ (GHF - qp.P)))
     k = np.linalg.solve(qp.H, qp.G.T @ (Minv @ qp.w))
     return AffinePiece(sigma=sigma, K=K, k=k)
@@ -423,7 +422,7 @@ def enumerate_nonsingular_sigmas(qp: CondensedQP, max_m: int = 20):
 
     if qp.m > max_m:
         raise ValueError(f"refusing to enumerate 2^{qp.m} active sets")
-    gram = qp.G @ np.linalg.solve(qp.H, qp.G.T)
+    gram = qp.G @ qp.Hinv_GT
     out = []
     for s in all_sigmas(qp.m):
         if int(s.sum()) > qp.n:
@@ -444,10 +443,9 @@ def max_gain_norm(qp: CondensedQP, sigmas) -> float:
 
 def c_constant(qp: CondensedQP, sigmas) -> float:
     """max over sigma of ||2 H^{-1} G^T (G H^{-1} G^T)_sigma^+||."""
-    gram = qp.G @ np.linalg.solve(qp.H, qp.G.T)
-    Hinv_GT = np.linalg.solve(qp.H, qp.G.T)
+    gram = qp.G @ qp.Hinv_GT
     best = 0.0
     for s in sigmas:
         sig = s.sigma if isinstance(s, ActiveSet) else np.asarray(s, dtype=bool)
-        best = max(best, float(np.linalg.norm(2.0 * Hinv_GT @ padded_pinv(gram, sig), 2)))
+        best = max(best, float(np.linalg.norm(2.0 * qp.Hinv_GT @ padded_pinv(gram, sig), 2)))
     return best

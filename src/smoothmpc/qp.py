@@ -15,6 +15,7 @@ cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linprog
@@ -45,12 +46,13 @@ def _solve_lp(c: np.ndarray, A_ub: np.ndarray, G: np.ndarray, b: np.ndarray, bou
     """HiGHS LP over rows A_ub <= b that describe {z : G z <= b}.
 
     Status 2 raises InfeasibleError with a Farkas certificate for (G, b),
-    status 3 UnboundedError, and any other failure RuntimeError.
+    computed when first read, status 3 UnboundedError, and any other
+    failure RuntimeError.
     """
     res = linprog(c, A_ub=A_ub, b_ub=b, bounds=bounds, method="highs")
     if res.status == 2:
         raise InfeasibleError("constraint polytope is empty",
-                              certificate=farkas_certificate(G, b))
+                              certificate=partial(farkas_certificate, G, b))
     if res.status == 3:
         raise UnboundedError("constraint polytope is unbounded")
     if not res.success:
@@ -117,8 +119,10 @@ def raw_solve_qp(
     """Primal active-set method for a strictly convex inequality-constrained QP.
 
     ``z0`` optionally warm-starts from a feasible point (validated);
-    otherwise a Chebyshev-center phase 1 runs first. Ties in the
-    removal/blocking rules are broken by smallest constraint index.
+    otherwise a Chebyshev-center phase 1 runs first, or, on a polytope
+    that holds arbitrarily large balls, a support LP gives some feasible
+    point. Ties in the removal/blocking rules are broken by smallest
+    constraint index.
     """
     H = np.asarray(H, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -130,14 +134,17 @@ def raw_solve_qp(
     if z0 is not None and np.all(G @ z0 - b <= 1e-9 * scale_b):
         z = np.asarray(z0, dtype=float).copy()
     else:
-        z = chebyshev_center(G, b)[0]
+        try:
+            z = chebyshev_center(G, b)[0]
+        except UnboundedError:
+            z = support(G, b, np.zeros(n))[0]
     # clip tiny phase-1 violations back onto the feasible side
     viol = G @ z - b
     if viol.max(initial=-np.inf) > 0:
         worst = viol.max()
         if worst > 1e-7 * scale_b.max():
             raise InfeasibleError("phase-1 produced an infeasible start",
-                                  certificate=farkas_certificate(G, b))
+                                  certificate=partial(farkas_certificate, G, b))
 
     work = np.zeros(m, dtype=bool)
     if max_iter is None:

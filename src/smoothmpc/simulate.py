@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LinearSystem
+from .errors import InfeasibleError, NewtonConvergenceError, SmoothingFailureError
 
 __all__ = [
     "Trajectory",
@@ -16,6 +17,10 @@ __all__ = [
     "imitation_error",
     "iss_gain",
 ]
+
+# What a policy raises at a state it cannot handle; anything else is a bug
+# and propagates.
+_POLICY_FAILURES = (InfeasibleError, NewtonConvergenceError, SmoothingFailureError)
 
 
 @dataclass(frozen=True)
@@ -37,15 +42,20 @@ class Trajectory:
 
 
 def rollout(sys: LinearSystem, policy, x0: np.ndarray, K: int) -> Trajectory:
-    """Simulate x_{t+1} = A x_t + B policy(x_t) for K steps."""
+    """Simulate x_{t+1} = A x_t + B policy(x_t) for K steps.
+
+    A policy failure (infeasible state, stalled Newton, failed smoothing)
+    truncates the trajectory; any other exception propagates.
+    """
     x = np.asarray(x0, dtype=float)
     states = [x.copy()]
     inputs = []
     for _ in range(K):
         try:
             u = np.atleast_1d(np.asarray(policy(x), dtype=float))
-        except Exception as err:  # noqa: BLE001 - diagnostic truncation
-            return Trajectory(states=np.array(states), inputs=np.array(inputs).reshape(len(inputs), -1),
+        except _POLICY_FAILURES as err:
+            return Trajectory(states=np.array(states),
+                              inputs=np.array(inputs).reshape(len(inputs), sys.d_u),
                               completed=False, failure=f"{type(err).__name__}: {err}")
         inputs.append(u)
         x = sys.step(x, u)
@@ -107,9 +117,11 @@ def sample_dataset(sys: LinearSystem, expert, sampler, N: int, K: int, seed: int
     """Roll the expert from N i.i.d. initial states for K steps.
 
     ``sampler(rng)`` proposes initial states; proposals where the expert
-    fails to evaluate or to complete the K-step rollout are rejected, so
-    every recorded state is one the expert handled. Jacobians are
-    recorded when ``jacobian_fn`` is given. Deterministic given ``seed``.
+    fails to complete the K-step rollout are rejected, so every recorded
+    state is one the expert handled. When ``jacobian_fn`` is given it is
+    called at each state right after the expert, so an expert that keeps
+    its last solution serves both from one solve. Deterministic given
+    ``seed``.
     """
     rng = np.random.default_rng(seed)
     d_x = sys.d_x
@@ -120,11 +132,15 @@ def sample_dataset(sys: LinearSystem, expert, sampler, N: int, K: int, seed: int
         traj = None
         for _ in range(max_rejects):
             cand = np.asarray(sampler(rng), dtype=float)
-            try:
-                expert(cand)
-            except Exception:
-                continue
-            attempt = rollout(sys, expert, cand, K)
+            traj_jacs = []
+
+            def policy(x):
+                u = expert(x)
+                if jacobian_fn is not None:
+                    traj_jacs.append(jacobian_fn(x))
+                return u
+
+            attempt = rollout(sys, policy, cand, K)
             if attempt.completed:
                 traj = attempt
                 break
@@ -137,8 +153,8 @@ def sample_dataset(sys: LinearSystem, expert, sampler, N: int, K: int, seed: int
                 jacs = np.zeros((N, K, traj.inputs.shape[1], d_x))
         inputs[i] = traj.inputs
         if jacobian_fn is not None:
-            for t in range(K):
-                jacs[i, t] = jacobian_fn(states[i, t])
+            for t, J in enumerate(traj_jacs):
+                jacs[i, t] = J
     if N == 0:
         inputs = np.zeros((0, K, 1))
     return ImitationDataset(states=states, inputs=inputs, jacobians=jacs)
@@ -168,7 +184,7 @@ def imitation_error(sys: LinearSystem, expert, learner, eval_states: np.ndarray,
             x = ref.states[t]
             try:
                 du = np.linalg.norm(np.atleast_1d(learner(x)) - ref.inputs[t])
-            except Exception:
+            except _POLICY_FAILURES:
                 du = float("inf")
             sup_policy = max(sup_policy, float(du))
             if sup_jac is not None:

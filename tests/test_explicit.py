@@ -24,7 +24,7 @@ from smoothmpc.explicit import (
     solve_qp,
     state_grid,
 )
-from smoothmpc.qp import dual_ascent_qp
+from smoothmpc.qp import dual_ascent_qp, raw_solve_qp
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,16 @@ def test_saturated_point_cross_checked_by_dual_oracle(di_qp):
                               di_qp.bounds_rhs(x0), max_iter=400_000)
     assert np.abs(sol.u_star - u_oracle).max() <= 1e-6
     assert kkt_ok(di_qp, x0, sol)
+
+
+def test_raw_qp_over_polytope_holding_arbitrarily_large_balls():
+    # the half-plane z_0 <= 1 has no Chebyshev center; phase 1 must still
+    # find a feasible start
+    H, q, G, b = np.eye(2), np.array([-3.0, 0.0]), np.array([[1.0, 0.0]]), np.array([1.0])
+    sol = raw_solve_qp(H, q, G, b)
+    assert np.abs(sol.z - np.array([1.0, 0.0])).max() <= 1e-12
+    assert sol.working_set.tolist() == [True]
+    assert np.abs(sol.z - dual_ascent_qp(H, q, G, b)).max() <= 1e-9
 
 
 def test_kkt_on_random_states(di_qp):

@@ -32,15 +32,34 @@ def lp_calls(monkeypatch):
     return calls
 
 
-def test_one_lp_per_barrier_solve(di_qp, lp_calls):
+def test_barrier_solve_lp_counts(di_qp, lp_calls):
+    # the Chebyshev LP runs only when none of the warm start, its shifted
+    # tail and u = 0 is strictly feasible
     bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=np.sqrt(10.0))
-    solved = 0
-    for x0 in ([0.0, 0.0], [2.0, 0.5], [-4.0, 1.0], [1.0, -2.0]):
-        lp_calls.clear()
-        solve_barrier(bp, np.array(x0))
-        assert len(lp_calls) == 1
-        solved += 1
-    assert solved == 4
+    solve_barrier(bp, np.zeros(2))
+    assert len(lp_calls) == 0
+    x0 = np.array([1.0, -2.0])
+    assert di_qp.bounds_rhs(x0).min() < 0  # u = 0 is infeasible here
+    cold = solve_barrier(bp, x0)
+    assert len(lp_calls) == 1
+    lp_calls.clear()
+    solve_barrier(bp, x0 + 1e-3, warm=cold.u_eta)
+    assert len(lp_calls) == 0
+
+
+def test_closed_loop_step_starts_from_shifted_plan(di_qp, lp_calls):
+    # after one closed-loop step neither the previous plan nor u = 0 is
+    # feasible at the new state, but the plan's shifted tail is
+    sys_ = double_integrator_problem()[0]
+    bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=np.sqrt(10.0))
+    x0 = np.array([5.5, -1.2])
+    plan = solve_barrier(bp, x0).u_eta
+    x1 = sys_.step(x0, plan[: di_qp.d_u])
+    b1 = di_qp.bounds_rhs(x1)
+    assert b1.min() < 0 and (b1 - di_qp.G @ plan).min() < 0
+    lp_calls.clear()
+    solve_barrier(bp, x1, warm=plan)
+    assert len(lp_calls) == 0
 
 
 def test_radii_lp_count(di_qp, lp_calls):
@@ -53,11 +72,15 @@ def test_polygon_lp_count(di_qp, lp_calls):
     assert len(lp_calls) == 720
 
 
-def test_infeasible_solve_adds_certificate_lp(di_qp, lp_calls):
+def test_infeasible_solve_defers_certificate_lp(di_qp, lp_calls):
     bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=np.sqrt(10.0))
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError) as exc:
         solve_barrier(bp, np.array([0.0, 9.9]))
-    assert len(lp_calls) == 2  # Chebyshev LP, then the Farkas LP
+    assert len(lp_calls) == 1  # the Chebyshev LP
+    assert exc.value.certificate is not None
+    assert len(lp_calls) == 2  # the Farkas LP, run when the certificate is read
+    assert exc.value.certificate is not None
+    assert len(lp_calls) == 2  # and kept
 
 
 def test_only_qp_module_mentions_linprog():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smoothmpc.core import build_condensed, double_integrator_problem
+from smoothmpc.errors import InfeasibleError
 from smoothmpc.explicit import pi_mpc
 from smoothmpc.simulate import imitation_error, iss_gain, rollout, sample_dataset
 
@@ -54,12 +55,28 @@ def test_rollout_truncates_on_failure(di):
 
     def fragile(x):
         if x[0] > 2.0:
-            raise RuntimeError("boom")
+            raise InfeasibleError("boom")
         return np.zeros(1)
 
     traj = rollout(sys_, fragile, np.array([1.0, 1.0]), 10)
     assert not traj.completed and "boom" in traj.failure
     assert traj.states.shape[0] == traj.inputs.shape[0] + 1
+    # a failure at the first state leaves no inputs
+    traj = rollout(sys_, fragile, np.array([3.0, 1.0]), 10)
+    assert not traj.completed
+    assert traj.states.shape == (1, 2) and traj.inputs.shape == (0, 1)
+
+
+def test_rollout_propagates_a_policy_bug(di):
+    sys_, qp = di
+
+    def buggy(x):
+        if x[0] > 2.0:
+            raise TypeError("not a policy failure")
+        return np.zeros(1)
+
+    with pytest.raises(TypeError, match="not a policy failure"):
+        rollout(sys_, buggy, np.array([1.0, 1.0]), 10)
 
 
 def test_sample_dataset_shapes_and_determinism(di):
