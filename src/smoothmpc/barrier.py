@@ -22,7 +22,7 @@ from scipy.linalg import cho_solve
 
 from .core import CondensedQP, feasible_radii
 from .errors import InfeasibleError, NewtonConvergenceError
-from .explicit import gain_for_sigma
+from .explicit import MAX_ENUMERATION_M, gain_for_sigma
 from .matrixops import all_sigmas, is_singular_submatrix
 from .qp import chebyshev_center
 
@@ -31,6 +31,7 @@ __all__ = [
     "BarrierSolution",
     "recentering_vector",
     "make_barrier_problem",
+    "sc_parameter",
     "solve_barrier",
     "barrier_jacobian",
     "convex_combination",
@@ -42,6 +43,8 @@ __all__ = [
 
 GRAD_TOL_FACTOR = 1e-10
 MAX_NEWTON_ITERS = 200
+POWER_RESTARTS = 8
+POWER_ITERS = 200
 LINESEARCH_ACCEPT = 0.25
 LINESEARCH_SHRINK = 0.5
 
@@ -77,14 +80,21 @@ class BarrierProblem:
         object.__setattr__(self, "d", d)
 
 
+def sc_parameter(m: int, R: float, d: np.ndarray) -> float:
+    """Self-concordance parameter 20(m + R^2 ||d||^2) of the recentered barrier."""
+    if m < 1 or R <= 0:
+        raise ValueError("need m >= 1 and R > 0")
+    d = np.asarray(d, dtype=float)
+    return 20.0 * (m + R ** 2 * float(d @ d))
+
+
 def make_barrier_problem(qp: CondensedQP, eta: float,
                          outer_radius: float | None = None) -> BarrierProblem:
     """Assemble the barrier program; computes R at x0 = 0 unless supplied."""
     d = recentering_vector(qp)
     if outer_radius is None:
         outer_radius = feasible_radii(qp, np.zeros(qp.d_x)).R
-    nu = 20.0 * (qp.m + outer_radius ** 2 * float(d @ d))
-    return BarrierProblem(qp=qp, eta=float(eta), d=d, nu=nu)
+    return BarrierProblem(qp=qp, eta=float(eta), d=d, nu=sc_parameter(qp.m, outer_radius, d))
 
 
 @dataclass(frozen=True)
@@ -126,6 +136,31 @@ def _strict_start(G: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarra
     if r <= 0:
         raise InfeasibleError("constraint polytope has empty interior")
     return center
+
+
+def _objective(H, f, d, eta, G, b):
+    """(value, grad, hess, phi_of) of the log-barrier objective
+
+        0.5 u^T H u - f^T u + eta * (d^T u - sum_i log(b - G u)_i),
+
+    with phi_of(u) = b - G u the residuals, in the argument order of ``_newton``.
+    """
+
+    def phi_of(u):
+        return b - G @ u
+
+    def value(u):
+        return float(0.5 * u @ H @ u - f @ u
+                     + eta * (-np.sum(np.log(phi_of(u))) + d @ u))
+
+    def grad(u):
+        return H @ u - f + eta * (G.T @ (1.0 / phi_of(u)) + d)
+
+    def hess(u):
+        r = 1.0 / phi_of(u)
+        return H + eta * (G * (r ** 2)[:, None]).T @ G
+
+    return value, grad, hess, phi_of
 
 
 def _newton(u, value, grad, hess, phi_of, max_iter, tol, record=None):
@@ -175,8 +210,8 @@ def _newton(u, value, grad, hess, phi_of, max_iter, tol, record=None):
     return best_u, best_g, max_iter
 
 
-def solve_barrier(bp: BarrierProblem, x0: np.ndarray, warm: np.ndarray | None = None,
-                  max_iter: int = MAX_NEWTON_ITERS) -> BarrierSolution:
+def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
+                  warm: np.ndarray | None = None) -> BarrierSolution:
     """Minimize the barrier objective at x0 to gradient tolerance.
 
     Newton starts from the first strictly feasible of ``warm`` (an input
@@ -202,13 +237,10 @@ def solve_barrier(bp: BarrierProblem, x0: np.ndarray, warm: np.ndarray | None = 
 
     G = qp.G[active]
     ba = b[active]
-    d = bp.d
     Fx = qp.F.T @ x0
     g_scale = 1.0 + float(np.linalg.norm(Fx))
     tol = GRAD_TOL_FACTOR * g_scale
-
-    def phi_of(u):
-        return ba - G @ u
+    value, grad, hess, phi_of = _objective(qp.H, Fx, bp.d, eta, G, ba)
 
     zero = np.zeros(qp.n)
     starts = [zero]
@@ -220,35 +252,12 @@ def solve_barrier(bp: BarrierProblem, x0: np.ndarray, warm: np.ndarray | None = 
         starts = [warm, np.concatenate([warm[qp.d_u:], zero[: qp.d_u]]), zero]
     u = next((s for s in starts if np.min(phi_of(s), initial=np.inf) > 0), None)
     if u is None:
-        u = _strict_start(G, ba, active)
-
         # phase I: approach the analytic center of the recentered barrier
-        def bval(u):
-            return float(-np.sum(np.log(phi_of(u))) + d @ u)
-
-        def bgrad(u):
-            return G.T @ (1.0 / phi_of(u)) + d
-
-        def bhess(u):
-            r = 1.0 / phi_of(u)
-            return (G * (r ** 2)[:, None]).T @ G
-
-        u, _, _ = _newton(u, bval, bgrad, bhess, phi_of, max_iter=30, tol=1e-8)
-
-    # main phase: full objective
-    def value(u):
-        return float(0.5 * u @ qp.H @ u - Fx @ u
-                     + eta * (-np.sum(np.log(phi_of(u))) + d @ u))
-
-    def grad(u):
-        return qp.H @ u - Fx + eta * (G.T @ (1.0 / phi_of(u)) + d)
-
-    def hess(u):
-        r = 1.0 / phi_of(u)
-        return qp.H + eta * (G * (r ** 2)[:, None]).T @ G
+        phase1 = _objective(np.zeros((qp.n, qp.n)), zero, bp.d, 1.0, G, ba)
+        u, _, _ = _newton(_strict_start(G, ba, active), *phase1, max_iter=30, tol=1e-8)
 
     decs: list = []
-    u, gnorm, iters = _newton(u, value, grad, hess, phi_of, max_iter=max_iter,
+    u, gnorm, iters = _newton(u, value, grad, hess, phi_of, max_iter=MAX_NEWTON_ITERS,
                               tol=min(tol, 1e-12 * g_scale), record=decs)
     if gnorm > tol:
         # phi near zero is computed as a difference of O(b) quantities, so
@@ -309,17 +318,18 @@ class ConvexCombination:
 
 
 def convex_combination(bp: BarrierProblem, sol: BarrierSolution,
-                       x0: np.ndarray, max_m: int = 20) -> ConvexCombination:
+                       x0: np.ndarray) -> ConvexCombination:
     """Expand the barrier Jacobian as a convex combination of hard gains.
 
     Enumerates all active sets sigma with nonsingular Gram submatrix,
     weighting K_sigma by h_sigma proportional to
     det([G H^{-1} G^T]_sigma) * prod_{i not in sigma} (phi_i^2 / eta),
-    computed in log space. Requires m <= ``max_m``.
+    computed in log space. Requires m <= MAX_ENUMERATION_M.
     """
     qp = bp.qp
-    if qp.m > max_m:
-        raise ValueError(f"refusing 2^{qp.m} active-set enumeration (limit m <= {max_m})")
+    if qp.m > MAX_ENUMERATION_M:
+        raise ValueError(f"refusing 2^{qp.m} active-set enumeration "
+                         f"(limit m <= {MAX_ENUMERATION_M})")
     phi = np.asarray(sol.phi, dtype=float)
     gram = qp.G @ qp.Hinv_GT
     log_c = np.log(phi ** 2 / bp.eta)
@@ -350,19 +360,18 @@ def convex_combination(bp: BarrierProblem, sol: BarrierSolution,
                              log_normalizer=log_normalizer)
 
 
-def barrier_hessian(bp: BarrierProblem, x0: np.ndarray,
-                    step: float | None = None) -> np.ndarray:
+def barrier_hessian(bp: BarrierProblem, x0: np.ndarray) -> np.ndarray:
     """State Hessian of the solution map, shape (n, d_x, d_x).
 
     Central differences of the closed-form Jacobian along coordinate
     directions; the analytic Jacobian is exact, so one finite-difference
     layer suffices. Each stencil solve warm-starts from the previous one.
-    The step shrinks automatically when a perturbed state leaves the
+    The step starts at 1e-5 (1 + ||x0||) and shrinks automatically when a perturbed state leaves the
     feasible set and fails below 1e-10.
     """
     x0 = np.asarray(x0, dtype=float)
     d_x = bp.qp.d_x
-    h = step if step is not None else 1e-5 * (1.0 + float(np.linalg.norm(x0)))
+    h = 1e-5 * (1.0 + float(np.linalg.norm(x0)))
     warm = None
     while h >= 1e-10:
         try:
@@ -382,13 +391,12 @@ def barrier_hessian(bp: BarrierProblem, x0: np.ndarray,
     raise InfeasibleError("state too close to the feasibility boundary for differencing")
 
 
-def tensor_spectral_norm(T: np.ndarray, restarts: int = 8, iters: int = 200,
-                         seed: int = 0) -> float:
+def tensor_spectral_norm(T: np.ndarray) -> float:
     """max over unit y of the spectral norm of T[:, :, :] contracted with y.
 
     For 2-D state slots an angular sweep plus refinement is exact enough;
-    otherwise a higher-order power iteration with random restarts runs on
-    the unfolded tensor.
+    otherwise a higher-order power iteration with POWER_RESTARTS seeded
+    random restarts runs on the unfolded tensor.
     """
     T = np.asarray(T, dtype=float)
     d = T.shape[2]
@@ -413,12 +421,12 @@ def tensor_spectral_norm(T: np.ndarray, restarts: int = 8, iters: int = 200,
                 hi = mid2
             best = max(best, float(f1), float(f2))
         return best
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = 0.0
-    for _ in range(restarts):
+    for _ in range(POWER_RESTARTS):
         y = rng.standard_normal(d)
         y /= np.linalg.norm(y)
-        for _ in range(iters):
+        for _ in range(POWER_ITERS):
             Mslice = T @ y
             u_, s_, vt_ = np.linalg.svd(Mslice, full_matrices=False)
             v = u_[:, 0]

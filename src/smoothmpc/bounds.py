@@ -2,10 +2,11 @@
 
 Every asymptotic statement about the barrier minimizer is instantiated
 here with its explicit constants so that sweep checks are deterministic:
-the self-concordance parameter of the recentered barrier, the global
-error bound, the directional error sandwich, two residual lower bounds,
-the solution-Hessian upper bound, the consolidated quadratic-over-polytope
-bounds, the one-dimensional gap oracle, and the barrier axioms.
+the self-concordance parameter of the recentered barrier (re-exported
+from ``barrier``), the global error bound, the directional error
+sandwich, two residual lower bounds, the solution-Hessian upper bound,
+the consolidated quadratic-over-polytope bounds, the one-dimensional gap
+oracle, and the barrier axioms.
 
 Outer radii: the sandwich and residual bounds require an outer ball
 concentric with an inscribed ball. ``feasible_radii`` reports the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierProblem, _newton
+from .barrier import BarrierProblem, _newton, _objective, sc_parameter
 from .core import CondensedQP, FeasibleRadii, feasible_radii, polytope_radii
 from .errors import InfeasibleError
 from .qp import bounding_box, chebyshev_center, raw_solve_qp
@@ -69,14 +70,6 @@ class BoundReport:
                    context=dict(context or {}))
 
 
-def sc_parameter(m: int, R: float, d: np.ndarray) -> float:
-    """Self-concordance parameter 20(m + R^2 ||d||^2) of the recentered barrier."""
-    if m < 1 or R <= 0:
-        raise ValueError("need m >= 1 and R > 0")
-    d = np.asarray(d, dtype=float)
-    return 20.0 * (m + R ** 2 * float(d @ d))
-
-
 def error_upper(bp: BarrierProblem, eta: float | None = None) -> float:
     """Global bound sqrt(2 eta nu / alpha1) on ||u_eta - u_star||."""
     eta = bp.eta if eta is None else eta
@@ -94,9 +87,23 @@ class DirectionalBounds:
     upper: float
 
 
+def _sandwich(eta: float, nu: float, a1: float, a2: float, D: float,
+              r: float, R: float) -> tuple:
+    """(lower, upper) bounds on the gap a^T (x_eta - x_star) along the
+    direction a of H (x_star - v), for a quadratic with curvature in
+    [a1, a2] whose minimizer v lies at H-distance D from x_star, under a
+    nu-barrier on a polytope with concentric radii r <= R."""
+    upper = (math.sqrt(4.0 * eta * nu + D * D) - D) / (2.0 * math.sqrt(a1))
+    lower = math.sqrt(a1 / a2) * (r / R) * min(
+        (math.sqrt(eta + D * D) - D) / math.sqrt(nu * a2),
+        math.sqrt(a1 / a2) * r / (2.0 * nu + 4.0 * math.sqrt(nu)),
+    )
+    return lower, upper
+
+
 def directional_bounds(bp: BarrierProblem, x0: np.ndarray, u_star: np.ndarray,
-                       K0: np.ndarray, radii: FeasibleRadii | None = None) -> DirectionalBounds:
-    """Error sandwich along a = H(u* - K0 x0)/||H(u* - K0 x0)||.
+                       radii: FeasibleRadii | None = None) -> DirectionalBounds:
+    """Error sandwich along a = H(u* - K0 x0)/||H(u* - K0 x0)||, K0 = H^{-1} F^T.
 
     Uses the pure log-barrier parameter (nu = m) exactly as the sandwich
     is stated; r is the Chebyshev radius and R the concentric corner
@@ -104,28 +111,19 @@ def directional_bounds(bp: BarrierProblem, x0: np.ndarray, u_star: np.ndarray,
     """
     qp = bp.qp
     x0 = np.asarray(x0, dtype=float)
-    delta = np.asarray(u_star, dtype=float) - K0 @ x0
+    delta = np.asarray(u_star, dtype=float) - qp.Hinv_FT @ x0
     Hd = qp.H @ delta
     if np.linalg.norm(Hd) <= 1e-12 * (1.0 + np.linalg.norm(u_star)):
         raise NotApplicableError("unconstrained minimizer coincides with u_star")
-    a = Hd / np.linalg.norm(Hd)
-    D = _h_norm(qp, delta)
-    m = qp.m
-    a1, a2 = qp.alpha1, qp.alpha2
-    eta = bp.eta
-    upper = (math.sqrt(4.0 * m * eta + D * D) - D) / (2.0 * math.sqrt(a1))
     if radii is None:
         radii = feasible_radii(qp, x0)
-    r, R = radii.r, radii.R_center
-    lower = math.sqrt(a1 / a2) * (r / R) * min(
-        (math.sqrt(eta + D * D) - D) / math.sqrt(m * a2),
-        math.sqrt(a1 / a2) * r / (2.0 * m + 4.0 * math.sqrt(m)),
-    )
-    return DirectionalBounds(a=a, lower=lower, upper=upper)
+    lower, upper = _sandwich(bp.eta, qp.m, qp.alpha1, qp.alpha2, _h_norm(qp, delta),
+                             radii.r, radii.R_center)
+    return DirectionalBounds(a=Hd / np.linalg.norm(Hd), lower=lower, upper=upper)
 
 
 def residual_lower_bound(bp: BarrierProblem, x0: np.ndarray, u_star: np.ndarray,
-                         K0: np.ndarray, radii: FeasibleRadii | None = None) -> float:
+                         radii: FeasibleRadii | None = None) -> float:
     """Strict-interiority floor for min_i phi_i(u_eta) over rows with ||g_i|| >= 1.
 
     (lambda_min/lambda_max)(r/R) * min{ (sqrt(eta + D^2) - D)/sqrt(nu lambda_min),
@@ -134,7 +132,7 @@ def residual_lower_bound(bp: BarrierProblem, x0: np.ndarray, u_star: np.ndarray,
     """
     qp = bp.qp
     x0 = np.asarray(x0, dtype=float)
-    delta = np.asarray(u_star, dtype=float) - K0 @ x0
+    delta = np.asarray(u_star, dtype=float) - qp.Hinv_FT @ x0
     D = _h_norm(qp, delta)
     nu = bp.nu
     if radii is None:
@@ -157,7 +155,6 @@ def normalized_min_residual(qp: CondensedQP, x0: np.ndarray, u: np.ndarray) -> f
 
 
 def first_residual_lower_bound(bp: BarrierProblem, x0: np.ndarray, L_q: float,
-                               nu: float | None = None,
                                radii: FeasibleRadii | None = None) -> float:
     """Residual floor min{eta/2, r eta^2 / (150 (nu eta^2 + R^2 (L^2 + 1)))}.
 
@@ -165,13 +162,11 @@ def first_residual_lower_bound(bp: BarrierProblem, x0: np.ndarray, L_q: float,
     row-normalized residuals (see ``normalized_min_residual``). L_q is a
     Lipschitz bound of the quadratic objective over the polytope.
     """
-    qp = bp.qp
-    nu = bp.nu if nu is None else nu
     if radii is None:
-        radii = feasible_radii(qp, np.asarray(x0, dtype=float))
+        radii = feasible_radii(bp.qp, np.asarray(x0, dtype=float))
     r, R = radii.r, radii.R_center
     eta = bp.eta
-    denom = 150.0 * (nu * eta * eta + R * R * (L_q * L_q + 1.0))
+    denom = 150.0 * (bp.nu * eta * eta + R * R * (L_q * L_q + 1.0))
     return min(eta / 2.0, r * eta * eta / denom)
 
 
@@ -182,7 +177,6 @@ def quadratic_lipschitz(qp: CondensedQP, x0: np.ndarray, R: float) -> float:
 
 def hessian_upper_bound(bp: BarrierProblem, x0: np.ndarray, L: float, C: float,
                         u_star: np.ndarray | None = None,
-                        K0: np.ndarray | None = None,
                         radii: FeasibleRadii | None = None) -> float:
     """Solution-Hessian bound (C / res_lb) (||P|| + ||G|| L)^2.
 
@@ -195,9 +189,7 @@ def hessian_upper_bound(bp: BarrierProblem, x0: np.ndarray, L: float, C: float,
         from .explicit import solve_qp
 
         u_star = solve_qp(qp, x0).u_star
-    if K0 is None:
-        K0 = np.linalg.solve(qp.H, qp.F.T)
-    res = residual_lower_bound(bp, x0, u_star, K0, radii=radii)
+    res = residual_lower_bound(bp, x0, u_star, radii=radii)
     if res <= 0:
         raise ValueError("residual lower bound is not positive")
     Pn = float(np.linalg.norm(qp.P, 2))
@@ -216,27 +208,12 @@ def newton_log_barrier(Hq: np.ndarray, lin: np.ndarray, G: np.ndarray, b: np.nda
     lin = np.asarray(lin, dtype=float)
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
-
-    def phi_of(x):
-        return b - G @ x
-
     x_init, r = chebyshev_center(G, b)
     if r <= 0:
         raise InfeasibleError("polytope has empty interior")
-
-    def value(x):
-        return float(0.5 * x @ Hq @ x + lin @ x - eta * np.sum(np.log(phi_of(x))))
-
-    def grad(x):
-        return Hq @ x + lin + eta * (G.T @ (1.0 / phi_of(x)))
-
-    def hess(x):
-        r = 1.0 / phi_of(x)
-        return Hq + eta * (G * (r ** 2)[:, None]).T @ G
-
     scale = 1.0 + float(np.linalg.norm(lin))
-    x, gnorm, _ = _newton(x_init, value, grad, hess, phi_of,
-                          max_iter=max_iter, tol=tol * scale)
+    x, _, _ = _newton(x_init, *_objective(Hq, -lin, np.zeros(G.shape[1]), eta, G, b),
+                      max_iter=max_iter, tol=tol * scale)
     return x
 
 
@@ -274,13 +251,9 @@ def quad_opt_bounds(G: np.ndarray, b: np.ndarray, Hmat: np.ndarray, v: np.ndarra
     if np.linalg.norm(Hmat @ dv) > 1e-10 * (1.0 + np.linalg.norm(v)):
         a = Hmat @ dv / np.linalg.norm(Hmat @ dv)
         gap = float(a @ (x_eta - x_star))
-        upper = (math.sqrt(4.0 * eta * nu + Dh * Dh) - Dh) / (2.0 * math.sqrt(m_eig))
+        radius, upper = _sandwich(eta, nu, m_eig, M_eig, Dh, r, R)
         reports.append(BoundReport.check("quad_gap_directional_nonneg", 0.0, gap, ctx))
         reports.append(BoundReport.check("quad_gap_directional_upper", gap, upper, ctx))
-        radius = math.sqrt(m_eig / M_eig) * (r / R) * min(
-            (math.sqrt(eta + Dh * Dh) - Dh) / math.sqrt(nu * M_eig),
-            math.sqrt(m_eig / M_eig) * r / (2.0 * nu + 4.0 * math.sqrt(nu)),
-        )
         dist = float(np.min((b - G @ x_eta) / np.linalg.norm(G, axis=1)))
         reports.append(BoundReport.check("quad_ball_radius", radius, dist, ctx))
         reports.append(BoundReport.check("quad_directional_lower", radius, gap, ctx))

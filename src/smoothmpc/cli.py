@@ -76,14 +76,13 @@ def cmd_pieces(cfg, out: Path, seed: int, jobs: int, resolution: int | None) -> 
     return EXIT_OK if stable else EXIT_VIOLATION
 
 
-def cmd_bounds(cfg, out: Path, seed: int, jobs: int, resolution: int | None,
-               corrupt: str | None = None) -> int:
+def cmd_bounds(cfg, out: Path, seed: int, jobs: int, resolution: int | None) -> int:
     from .experiments import bounds_sweep
 
     bench = _bench(cfg, resolution)
     rows, reports, skipped = bounds_sweep(bench, cfg["bounds"]["eta_grid"],
                                           n_states=int(cfg["bounds"]["n_states"]),
-                                          seed=seed, corrupt=corrupt,
+                                          seed=seed,
                                           with_hessian=bool(cfg["bounds"]["with_hessian"]))
     for eta, reason in skipped:
         print(f"skipped eta={eta:g}: {reason}")
@@ -153,43 +152,12 @@ def cmd_imitate(cfg, out: Path, seed: int, jobs: int, resolution: int | None) ->
 
 
 def cmd_matrix_selftest(cfg, out: Path, seed: int, jobs: int, resolution: int | None) -> int:
-    from . import matrixops as mo
+    from .matrixops import selftest
 
-    rng = np.random.default_rng(seed)
     n_instances = int(cfg["matrix_selftest"]["instances"])
-    fails = []
-    for i in range(n_instances):
-        n = int(rng.integers(2, 7))
-        M = rng.standard_normal((n, n))
-        scale = max(1.0, abs(np.linalg.det(M)))
-        if np.abs(mo.adjugate(M) @ M - np.linalg.det(M) * np.eye(n)).max() > 1e-8 * scale:
-            fails.append(("adjugate", i))
-        A = rng.standard_normal((n, n))
-        A = A + A.T
-        lam = float(rng.uniform(-2, 2))
-        direct = mo.adjugate(A + lam * np.outer(np.eye(n)[0], np.eye(n)[0]))
-        if np.abs(mo.rank_one_adjugate_update(A, lam, 0) - direct).max() > 1e-9 * max(
-                1.0, np.abs(direct).max()):
-            fails.append(("rank_one_update", i))
-        if i % 4 == 0:  # subset expansions are exponential in n; sample them
-            k = int(rng.integers(1, 6))
-            Lr = rng.standard_normal((k, max(1, k - 1)))
-            Apsd = Lr @ Lr.T
-            lamv = rng.uniform(0.1, 2.0, size=k)
-            det_direct = np.linalg.det(Apsd + np.diag(lamv))
-            if abs(mo.det_diag_perturbation(Apsd, lamv) - det_direct) > 1e-8 * max(
-                    1.0, abs(det_direct)):
-                fails.append(("det_expansion", i))
-            dec = mo.inverse_decomposition(Apsd, lamv)
-            direct_inv = np.linalg.inv(Apsd + np.diag(lamv))
-            if np.abs(dec.reconstruction - direct_inv).max() > 1e-8 * max(
-                    1.0, np.abs(direct_inv).max()):
-                fails.append(("inverse_decomposition", i))
-            Lsv = rng.standard_normal((k + 1, k))
-            gram = Lsv @ Lsv.T
-            if np.abs(mo.adjugate(gram) @ Lsv).max() > 1e-9 * max(1.0, np.abs(Lsv).max()):
-                fails.append(("annihilation", i))
-    print(f"matrix self-test: {n_instances} instances, {len(fails)} failures")
+    checks, fails = selftest(np.random.default_rng(seed), n_instances)
+    print(f"matrix self-test: {n_instances} instances, {checks} checks, "
+          f"{len(fails)} failures")
     for name, i in fails[:10]:
         print(f"  FAIL {name} at instance {i}")
     return EXIT_VIOLATION if fails else EXIT_OK
@@ -214,7 +182,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
     parser.add_argument("--resolution", type=int, default=None,
                         help="grid resolution override")
-    parser.add_argument("--corrupt", type=str, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
@@ -223,9 +190,6 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     try:
-        if args.command == "bounds":
-            return cmd_bounds(cfg, args.out, seed, args.jobs, args.resolution,
-                              corrupt=args.corrupt)
         return COMMANDS[args.command](cfg, args.out, seed, args.jobs, args.resolution)
     except InfeasibleError as err:
         print(f"infeasible configuration: {err}", file=sys.stderr)

@@ -54,19 +54,23 @@ __all__ = [
     "matched_levels",
 ]
 
+POLYGON_DIRECTIONS = 720
+SAMPLE_SHRINK = 0.8
+REFINE_PEAKS = 3
 
-def feasible_polygon(qp: CondensedQP, n_directions: int = 720) -> np.ndarray:
+
+def feasible_polygon(qp: CondensedQP) -> np.ndarray:
     """Vertices (counterclockwise) of the feasible 2-D state set.
 
     The set {x : exists u with G u <= w + P x} is a polygon; its support
-    points in ``n_directions`` directions are vertices, recovered exactly
+    points in POLYGON_DIRECTIONS directions are vertices, recovered exactly
     by a convex hull once every vertex is some direction's argmax.
     """
     if qp.d_x != 2:
         raise ValueError("polygon recovery requires a 2-D state")
     G_xu = np.hstack([-qp.P, qp.G])
     pts = []
-    for th in np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False):
+    for th in np.linspace(0.0, 2.0 * np.pi, POLYGON_DIRECTIONS, endpoint=False):
         c = np.zeros(2 + qp.n)
         c[0], c[1] = np.cos(th), np.sin(th)
         pts.append(support(G_xu, qp.w, c)[0][:2])
@@ -136,7 +140,7 @@ class BarrierExpert:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self._solve(x).u_eta[: self.bp.qp.d_u]
 
-    def eval_batch(self, X: np.ndarray, fallback: str = "nan") -> np.ndarray:
+    def eval_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full((X.shape[0], self.bp.qp.d_u), np.nan)
         for i, x in enumerate(X):
@@ -188,10 +192,10 @@ class Workbench:
                               n_samples=n_samples, seed=seed)
         return RandomizedPolicy(self.table, cfg, projector=self.projector)
 
-    def sample_initial_states(self, n: int, seed: int, shrink: float = 0.8) -> np.ndarray:
+    def sample_initial_states(self, n: int, seed: int) -> np.ndarray:
         """Uniform over the shrunken state box, rejected into the feasible set."""
         rng = np.random.default_rng(seed)
-        box = shrink * self.state_halfwidth
+        box = SAMPLE_SHRINK * self.state_halfwidth
         out = []
         while len(out) < n:
             cand = rng.uniform(-box, box, size=(4 * n, self.qp.d_x))
@@ -203,14 +207,13 @@ class Workbench:
 # --- smoothness measurement -------------------------------------------------
 
 def slice_smoothness(jac_fn, anchor: np.ndarray, direction: np.ndarray,
-                     span: float, coarse_h: float, min_h: float,
-                     peaks: int = 3) -> dict:
+                     span: float, coarse_h: float, min_h: float) -> dict:
     """Max Jacobian norm and Jacobian variation along one state-space line.
 
-    Scans coarsely, then repeatedly refines windows around the largest
-    variation peaks (quartering the step) until the step reaches ``min_h``
-    or the estimate stabilizes; this resolves features much narrower than
-    the coarse grid without a global fine grid. Points where the Jacobian
+    Scans coarsely, then repeatedly refines windows around the
+    REFINE_PEAKS largest variation peaks (quartering the step) until the
+    step reaches ``min_h`` or the estimate stabilizes; this resolves
+    features much narrower than the coarse grid without a global fine grid. Points where the Jacobian
     is unavailable (outside the feasible set) are skipped.
     """
     anchor = np.asarray(anchor, dtype=float)
@@ -238,7 +241,7 @@ def slice_smoothness(jac_fn, anchor: np.ndarray, direction: np.ndarray,
     L0, cand = scan(ss)
     cand.sort(key=lambda t: -t[1])
     L1 = cand[0][1] if cand else 0.0
-    centers = [c for c, _ in cand[:peaks]]
+    centers = [c for c, _ in cand[:REFINE_PEAKS]]
 
     h = coarse_h
     while h / 4.0 >= min_h and centers:
@@ -262,27 +265,28 @@ def slice_smoothness(jac_fn, anchor: np.ndarray, direction: np.ndarray,
     return {"L0": L0, "L1": L1}
 
 
-_DEFAULT_SLICES = ((np.array([0.0, 1.5]), np.array([1.0, 0.0])),
-                   (np.array([0.0, -3.0]), np.array([1.0, 0.0])),
-                   (np.array([2.0, 0.0]), np.array([0.0, 1.0])))
+# (anchor, direction) of each probe slice, scanned over +-SLICE_SPAN
+PROBE_SLICES = ((np.array([0.0, 1.5]), np.array([1.0, 0.0])),
+                (np.array([0.0, -3.0]), np.array([1.0, 0.0])),
+                (np.array([2.0, 0.0]), np.array([0.0, 1.0])))
+SLICE_SPAN = 7.0
 
 
-def expert_smoothness(jac_fn, feature_scale: float, span: float = 7.0,
-                      slices=_DEFAULT_SLICES) -> dict:
+def expert_smoothness(jac_fn, feature_scale: float) -> dict:
     """Smoothness along the benchmark's probe slices, resolved to feature_scale."""
     coarse_h = 0.25
     min_h = float(np.clip(feature_scale / 4.0, 1e-4, coarse_h))
     L0 = L1 = 0.0
-    for anchor, direction in slices:
-        out = slice_smoothness(jac_fn, anchor, direction, span, coarse_h, min_h)
+    for anchor, direction in PROBE_SLICES:
+        out = slice_smoothness(jac_fn, anchor, direction, SLICE_SPAN, coarse_h, min_h)
         L0 = max(L0, out["L0"])
         L1 = max(L1, out["L1"])
     return {"L0_max": L0, "L1_max": L1}
 
 
 def _sup_error(policy, reference, pts: np.ndarray) -> float:
-    a = policy.eval_batch(pts) if hasattr(policy, "eval_batch") else np.array([policy(x) for x in pts])
-    b = reference.eval_batch(pts) if hasattr(reference, "eval_batch") else np.array([reference(x) for x in pts])
+    a = policy.eval_batch(pts)
+    b = reference.eval_batch(pts)
     ok = ~(np.any(np.isnan(a), axis=1) | np.any(np.isnan(b), axis=1))
     return float(np.max(np.linalg.norm(a[ok] - b[ok], axis=1)))
 
@@ -407,18 +411,15 @@ def matched_levels(rows: list, n_levels: int = 5) -> list:
 # --- bound sweep -------------------------------------------------------------
 
 def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
-                 corrupt: str | None = None, with_hessian: bool = True) -> tuple:
+                 with_hessian: bool = True) -> tuple:
     """Evaluate every bound calculator against solver measurements.
 
     Returns (rows, reports, skipped) where skipped lists (eta, reason) for
     grid entries the barrier problem is undefined at (eta <= 0).
-    ``corrupt`` deliberately breaks one constant ("error_upper" shrinks
-    the global error bound) as a negative control for violation detection.
     """
     skipped = [(float(e), "barrier weight must be positive") for e in eta_grid if e <= 0]
     eta_grid = [float(e) for e in eta_grid if e > 0]
     qp = bench.qp
-    K0 = np.linalg.solve(qp.H, qp.F.T)
     L = max_gain_norm(qp, bench.gain_sigmas)
     C = c_constant(qp, bench.gain_sigmas)
     states = bench.sample_initial_states(4 * n_states, seed=seed)
@@ -446,10 +447,8 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
             err = float(np.linalg.norm(sol.u_eta - u_star))
             ctx = {"x0": tuple(np.round(x0, 6)), "eta": float(eta)}
             eb = error_upper(bp)
-            if corrupt == "error_upper":
-                eb *= 1e-6
             reports.append(BoundReport.check("error_upper", err, eb, ctx))
-            res_lb = residual_lower_bound(bp, x0, u_star, K0, radii=rad)
+            res_lb = residual_lower_bound(bp, x0, u_star, radii=rad)
             min_phi = float(sol.phi[row_ok].min())
             reports.append(BoundReport.check("residual_floor", res_lb, min_phi, ctx))
             L_q = quadratic_lipschitz(qp, x0, rad.R_center)
@@ -457,7 +456,7 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
             reports.append(BoundReport.check("first_residual_floor", first,
                                              normalized_min_residual(qp, x0, sol.u_eta), ctx))
             try:
-                db = directional_bounds(bp, x0, u_star, K0, radii=rad)
+                db = directional_bounds(bp, x0, u_star, radii=rad)
                 gap = float(db.a @ (sol.u_eta - u_star))
                 reports.append(BoundReport.check("directional_lower", db.lower,
                                                  gap * (1 + 1e-9) + 1e-15, ctx))
@@ -471,7 +470,7 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
             hess_bound = float("nan")
             if with_hessian:
                 hess_norm = tensor_spectral_norm(barrier_hessian(bp, x0))
-                hess_bound = hessian_upper_bound(bp, x0, L, C, u_star=u_star, K0=K0, radii=rad)
+                hess_bound = hessian_upper_bound(bp, x0, L, C, u_star=u_star, radii=rad)
                 reports.append(BoundReport.check("hessian_upper", hess_norm, hess_bound, ctx))
             rows.append({
                 "x0_0": x0[0], "x0_1": x0[1] if qp.d_x > 1 else 0.0, "eta": float(eta),

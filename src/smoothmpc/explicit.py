@@ -37,6 +37,10 @@ __all__ = [
 
 # constraint counted active when residual <= ACTIVE_TOL * (1 + |w_i|)
 ACTIVE_TOL = 1e-8
+# a region's multipliers count as nonnegative down to -DUAL_TOL
+DUAL_TOL = 1e-9
+# active-set enumeration (2^m sets) is refused above this many constraints
+MAX_ENUMERATION_M = 20
 GAIN_ROUND_DECIMALS = 6
 
 
@@ -64,10 +68,6 @@ class ActiveSet:
 
     def bitstring(self) -> str:
         return "".join("1" if b else "0" for b in self.sigma)
-
-    @classmethod
-    def from_bitstring(cls, bits: str) -> "ActiveSet":
-        return cls(np.array([c == "1" for c in bits], dtype=bool))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ActiveSet) and np.array_equal(self.sigma, other.sigma)
@@ -199,11 +199,10 @@ def _region_data(qp: CondensedQP, piece: AffinePiece) -> _PieceRegion:
                         dual_M=dual_M, dual_v=dual_v)
 
 
-def _region_mask(region: _PieceRegion, X: np.ndarray, tol_scale: np.ndarray,
-                 dual_tol: float = 1e-9) -> np.ndarray:
+def _region_mask(region: _PieceRegion, X: np.ndarray, tol_scale: np.ndarray) -> np.ndarray:
     primal_ok = np.all(X @ region.primal_M.T - region.primal_v <= tol_scale, axis=1)
     if region.dual_M.shape[0]:
-        dual_ok = np.all(X @ region.dual_M.T + region.dual_v >= -dual_tol, axis=1)
+        dual_ok = np.all(X @ region.dual_M.T + region.dual_v >= -DUAL_TOL, axis=1)
     else:
         dual_ok = np.ones(X.shape[0], dtype=bool)
     return primal_ok & dual_ok
@@ -416,11 +415,11 @@ class PieceTableEvaluator:
         return piece.K[: self.qp.d_u]
 
 
-def enumerate_nonsingular_sigmas(qp: CondensedQP, max_m: int = 20):
-    """All sigma with det([G H^{-1} G^T]_sigma) > 0, for small m."""
+def enumerate_nonsingular_sigmas(qp: CondensedQP):
+    """All sigma with det([G H^{-1} G^T]_sigma) > 0, for m <= MAX_ENUMERATION_M."""
     from .matrixops import all_sigmas
 
-    if qp.m > max_m:
+    if qp.m > MAX_ENUMERATION_M:
         raise ValueError(f"refusing to enumerate 2^{qp.m} active sets")
     gram = qp.G @ qp.Hinv_GT
     out = []

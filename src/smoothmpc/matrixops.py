@@ -30,6 +30,7 @@ __all__ = [
     "annihilation_checks",
     "rank_one_adjugate_update",
     "all_sigmas",
+    "selftest",
     "SingularSubmatrixError",
 ]
 
@@ -263,3 +264,63 @@ def rank_one_adjugate_update(A: np.ndarray, lam: float, index: int = 0) -> np.nd
     corr = np.zeros_like(A)
     corr[np.ix_(keep, keep)] = adjugate(D)
     return adjugate(A) + lam * corr
+
+
+def selftest(rng: np.random.Generator, instances: int) -> tuple:
+    """Check every identity above on ``instances`` random instances.
+
+    Seven checks per instance: the adjugate identity, the matrix
+    determinant lemma, the rank-one adjugate update, the subset expansion
+    of det(A + Lambda), the inverse decomposition, and the annihilation
+    identities for a rank-deficient Gram matrix and for a singular active
+    set. Returns (checks run, [(check name, instance), ...] failures).
+    """
+    checks = 0
+    failures = []
+
+    def fail_if(failed, name, i):
+        nonlocal checks
+        checks += 1
+        if failed:
+            failures.append((name, i))
+
+    for i in range(instances):
+        n = int(rng.integers(2, 6))
+        M = rng.standard_normal((n, n))
+        scale = max(1.0, abs(np.linalg.det(M)))
+        fail_if(np.abs(adjugate(M) @ M - np.linalg.det(M) * np.eye(n)).max() > 1e-8 * scale,
+                "adjugate", i)
+        u, vv = rng.standard_normal(n), rng.standard_normal(n)
+        lhs = np.linalg.det(M + np.outer(u, vv))
+        fail_if(abs(lhs - (np.linalg.det(M) + vv @ adjugate(M) @ u)) > 1e-8 * max(1.0, abs(lhs)),
+                "det_lemma", i)
+        S = rng.standard_normal((n, n))
+        S = S + S.T
+        lam = float(rng.uniform(-2, 2))
+        idx = int(rng.integers(0, n))
+        e = np.zeros(n)
+        e[idx] = 1.0
+        direct = adjugate(S + lam * np.outer(e, e))
+        got = rank_one_adjugate_update(S, lam, idx)
+        fail_if(np.abs(got - direct).max() > 1e-9 * max(1.0, np.abs(direct).max()),
+                "rank_one", i)
+        k = int(rng.integers(1, 5))
+        Lr = rng.standard_normal((k, int(rng.integers(1, k + 1))))
+        A = Lr @ Lr.T
+        lamv = rng.uniform(0.1, 2.0, size=k)
+        det_direct = np.linalg.det(A + np.diag(lamv))
+        fail_if(abs(det_diag_perturbation(A, lamv) - det_direct) > 1e-8 * max(1.0, abs(det_direct)),
+                "det_expansion", i)
+        dec = inverse_decomposition(A, lamv)
+        direct_inv = np.linalg.inv(A + np.diag(lamv))
+        fail_if(np.abs(dec.reconstruction - direct_inv).max()
+                > 1e-8 * max(1.0, np.abs(direct_inv).max()), "inverse_decomposition", i)
+        Ldef = rng.standard_normal((k + 1, k))  # rank-deficient Gram matrix
+        gram = Ldef @ Ldef.T
+        fail_if(np.abs(adjugate(gram) @ Ldef).max() > 1e-9 * max(1.0, np.abs(Ldef).max()),
+                "annihilation_gram", i)
+        Gd = rng.standard_normal((3, 4))
+        Gd = np.vstack([Gd, Gd[0]])  # duplicated constraint row
+        rep = annihilation_checks(Gd, np.eye(4), np.array([1, 0, 0, 1], dtype=bool))
+        fail_if(rep.applicable and not rep.satisfied, "annihilation_sigma", i)
+    return checks, failures

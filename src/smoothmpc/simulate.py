@@ -21,6 +21,7 @@ __all__ = [
 # What a policy raises at a state it cannot handle; anything else is a bug
 # and propagates.
 _POLICY_FAILURES = (InfeasibleError, NewtonConvergenceError, SmoothingFailureError)
+MAX_REJECTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class ImitationDataset:
 
 
 def sample_dataset(sys: LinearSystem, expert, sampler, N: int, K: int, seed: int,
-                   jacobian_fn=None, max_rejects: int = 10_000) -> ImitationDataset:
+                   jacobian_fn=None) -> ImitationDataset:
     """Roll the expert from N i.i.d. initial states for K steps.
 
     ``sampler(rng)`` proposes initial states; proposals where the expert
@@ -130,7 +131,7 @@ def sample_dataset(sys: LinearSystem, expert, sampler, N: int, K: int, seed: int
     jacs = None
     for i in range(N):
         traj = None
-        for _ in range(max_rejects):
+        for _ in range(MAX_REJECTS):
             cand = np.asarray(sampler(rng), dtype=float)
             traj_jacs = []
 
@@ -161,17 +162,15 @@ def sample_dataset(sys: LinearSystem, expert, sampler, N: int, K: int, seed: int
 
 
 def imitation_error(sys: LinearSystem, expert, learner, eval_states: np.ndarray,
-                    K: int, expert_jacobian=None, learner_jacobian=None) -> dict:
-    """Per-start trajectory deviation and sup distances between two policies.
+                    K: int) -> dict:
+    """Per-start trajectory deviation and sup distance between two policies.
 
     Rolls both policies from each start; reports max-over-time state error
-    per start plus the sup policy distance (and sup Jacobian distance when
-    both evaluators are given) along the expert trajectories.
+    per start plus the sup policy distance along the expert trajectories.
     """
     eval_states = np.atleast_2d(np.asarray(eval_states, dtype=float))
     traj_errors = []
     sup_policy = 0.0
-    sup_jac = 0.0 if (expert_jacobian and learner_jacobian) else None
     for x0 in eval_states:
         ref = rollout(sys, expert, x0, K)
         hat = rollout(sys, learner, x0, K)
@@ -187,14 +186,7 @@ def imitation_error(sys: LinearSystem, expert, learner, eval_states: np.ndarray,
             except _POLICY_FAILURES:
                 du = float("inf")
             sup_policy = max(sup_policy, float(du))
-            if sup_jac is not None:
-                dj = np.linalg.norm(learner_jacobian(x) - expert_jacobian(x), 2)
-                sup_jac = max(sup_jac, float(dj))
-    return {
-        "max_traj_error": np.array(traj_errors),
-        "sup_policy_error": sup_policy,
-        "sup_jacobian_error": sup_jac,
-    }
+    return {"max_traj_error": np.array(traj_errors), "sup_policy_error": sup_policy}
 
 
 def iss_gain(epsilon: float, L: float, normA: float, normB: float,

@@ -138,7 +138,7 @@ class RandomizedPolicy:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return pi_rs(self.base, self.cfg, x, projector=self.projector).u
 
-    def eval_batch(self, X: np.ndarray, fallback: str = "nan") -> np.ndarray:
+    def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Smoothed controls for a batch of states sharing one set of draws."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         B, d = X.shape

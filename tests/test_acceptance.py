@@ -217,53 +217,12 @@ def test_criterion_6_quad_opt_bounds():
 # -- 7: matrix-analysis oracle suite ----------------------------------------------
 
 def test_criterion_7_matrix_suite():
-    from smoothmpc import matrixops as mo
+    from smoothmpc.matrixops import selftest
 
-    rng = np.random.default_rng(77)
-    failures = []
-    for i in range(1000):
-        n = int(rng.integers(2, 6))
-        M = rng.standard_normal((n, n))
-        scale = max(1.0, abs(np.linalg.det(M)))
-        if np.abs(mo.adjugate(M) @ M - np.linalg.det(M) * np.eye(n)).max() > 1e-8 * scale:
-            failures.append(("adjugate", i))
-        u, vv = rng.standard_normal(n), rng.standard_normal(n)
-        lhs = np.linalg.det(M + np.outer(u, vv))
-        if abs(lhs - (np.linalg.det(M) + vv @ mo.adjugate(M) @ u)) > 1e-8 * max(1.0, abs(lhs)):
-            failures.append(("det_lemma", i))
-        S = rng.standard_normal((n, n))
-        S = S + S.T
-        lam = float(rng.uniform(-2, 2))
-        idx = int(rng.integers(0, n))
-        e = np.zeros(n)
-        e[idx] = 1.0
-        direct = mo.adjugate(S + lam * np.outer(e, e))
-        got = mo.rank_one_adjugate_update(S, lam, idx)
-        if np.abs(got - direct).max() > 1e-9 * max(1.0, np.abs(direct).max()):
-            failures.append(("rank_one", i))
-        k = int(rng.integers(1, 5))
-        Lr = rng.standard_normal((k, int(rng.integers(1, k + 1))))
-        A = Lr @ Lr.T
-        lamv = rng.uniform(0.1, 2.0, size=k)
-        det_direct = np.linalg.det(A + np.diag(lamv))
-        if abs(mo.det_diag_perturbation(A, lamv) - det_direct) > 1e-8 * max(1.0, abs(det_direct)):
-            failures.append(("det_expansion", i))
-        dec = mo.inverse_decomposition(A, lamv)
-        direct_inv = np.linalg.inv(A + np.diag(lamv))
-        if np.abs(dec.reconstruction - direct_inv).max() > 1e-8 * max(1.0, np.abs(direct_inv).max()):
-            failures.append(("inverse_decomposition", i))
-        Ldef = rng.standard_normal((k + 1, k))  # rank-deficient Gram matrix
-        gram = Ldef @ Ldef.T
-        if np.abs(mo.adjugate(gram) @ Ldef).max() > 1e-9 * max(1.0, np.abs(Ldef).max()):
-            failures.append(("annihilation_gram", i))
-        Gd = rng.standard_normal((3, 4))
-        Gd = np.vstack([Gd, Gd[0]])  # duplicated constraint row
-        Hq = np.eye(4)
-        rep = mo.annihilation_checks(Gd, Hq, np.array([1, 0, 0, 1], dtype=bool))
-        if rep.applicable and not rep.satisfied:
-            failures.append(("annihilation_sigma", i))
-    _report(7, "adjugate/determinant oracle suite (1000 instances)", not failures,
-            f"failures: {failures[:5]}")
+    checks, failures = selftest(np.random.default_rng(77), 1000)
+    _report(7, "adjugate/determinant oracle suite (1000 instances)",
+            checks == 7000 and not failures,
+            f"{checks} checks, failures: {failures[:5]}")
 
 
 # -- 8: smoothing trends -----------------------------------------------------------

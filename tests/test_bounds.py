@@ -82,20 +82,18 @@ def test_directional_bounds_not_applicable_inside(di_qp, di_R):
     bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=di_R)
     x0 = np.array([0.05, 0.0])
     u_star = solve_qp(di_qp, x0).u_star
-    K0 = np.linalg.solve(di_qp.H, di_qp.F.T)
     with pytest.raises(NotApplicableError):
-        directional_bounds(bp, x0, u_star, K0)
+        directional_bounds(bp, x0, u_star)
 
 
 def test_directional_bounds_vanish_at_zero_eta(di_qp, di_R):
     x0 = np.array([5.0, 1.5])
     u_star = solve_qp(di_qp, x0).u_star
-    K0 = np.linalg.solve(di_qp.H, di_qp.F.T)
     rad = feasible_radii(di_qp, x0)
     lo, hi = [], []
     for eta in (1e-2, 1e-4, 1e-6):
         bp = make_barrier_problem(di_qp, eta=eta, outer_radius=di_R)
-        db = directional_bounds(bp, x0, u_star, K0, radii=rad)
+        db = directional_bounds(bp, x0, u_star, radii=rad)
         lo.append(db.lower)
         hi.append(db.upper)
     assert hi[0] > hi[1] > hi[2] > 0
@@ -107,11 +105,10 @@ def test_directional_sandwich_clip_oracle(clip_qp):
     """Golden-grid oracle for the 1-D clip instance confirms the sandwich."""
     x0 = np.array([2.0])
     u_star = solve_qp(clip_qp, x0).u_star  # saturated at -1
-    K0 = np.linalg.solve(clip_qp.H, clip_qp.F.T)
     rad = feasible_radii(clip_qp, x0)
     for eta in (1e-4, 1e-2, 1e-1):
         bp = make_barrier_problem(clip_qp, eta=eta)
-        db = directional_bounds(bp, x0, u_star, K0, radii=rad)
+        db = directional_bounds(bp, x0, u_star, radii=rad)
         us = np.linspace(-1 + 1e-12, 1 - 1e-12, 2_000_001)
         b = clip_qp.bounds_rhs(x0)
         phi = b[None, :] - us[:, None] * clip_qp.G.T.reshape(1, -1)
@@ -125,12 +122,11 @@ def test_directional_sandwich_clip_oracle(clip_qp):
 def test_directional_sandwich_di_sweep(di_qp, di_R):
     x0 = np.array([8.0, -2.0])
     u_star = solve_qp(di_qp, x0).u_star
-    K0 = np.linalg.solve(di_qp.H, di_qp.F.T)
     rad = feasible_radii(di_qp, x0)
     for eta in (1e-3, 1e-2, 1e-1, 1.0):
         bp = make_barrier_problem(di_qp, eta=eta, outer_radius=di_R)
         sol = solve_barrier(bp, x0)
-        db = directional_bounds(bp, x0, u_star, K0, radii=rad)
+        db = directional_bounds(bp, x0, u_star, radii=rad)
         gap = float(db.a @ (sol.u_eta - u_star))
         assert db.lower <= gap * (1 + 1e-9) + 1e-12
         assert gap <= db.upper * (1 + 1e-9)
@@ -138,7 +134,6 @@ def test_directional_sandwich_di_sweep(di_qp, di_R):
 
 def test_residual_lower_bound_sweep(di_qp, di_R):
     rng = np.random.default_rng(9)
-    K0 = np.linalg.solve(di_qp.H, di_qp.F.T)
     row_ok = np.linalg.norm(di_qp.G, axis=1) >= 1.0 - 1e-12
     checked = 0
     while checked < 30:
@@ -153,7 +148,7 @@ def test_residual_lower_bound_sweep(di_qp, di_R):
             sol = solve_barrier(bp, x0)
         except InfeasibleError:
             continue
-        res_lb = residual_lower_bound(bp, x0, u_star, K0, radii=rad)
+        res_lb = residual_lower_bound(bp, x0, u_star, radii=rad)
         assert res_lb > 0
         assert sol.phi[row_ok].min() >= res_lb * (1 - 1e-9)
         checked += 1
@@ -162,12 +157,11 @@ def test_residual_lower_bound_sweep(di_qp, di_R):
 def test_residual_lower_bound_saturates_for_large_eta(di_qp, di_R):
     x0 = np.array([2.0, 0.5])
     u_star = solve_qp(di_qp, x0).u_star
-    K0 = np.linalg.solve(di_qp.H, di_qp.F.T)
     rad = feasible_radii(di_qp, x0)
     nu = make_barrier_problem(di_qp, eta=1.0, outer_radius=di_R).nu
     cap = (di_qp.alpha1 / di_qp.alpha2) * (rad.r / rad.R_center) * rad.r / (2 * nu + 4 * math.sqrt(nu))
     big = residual_lower_bound(make_barrier_problem(di_qp, eta=1e9, outer_radius=di_R),
-                               x0, u_star, K0, radii=rad)
+                               x0, u_star, radii=rad)
     assert abs(big - cap) <= 1e-12 * max(1.0, cap)
 
 
@@ -212,6 +206,26 @@ def test_hessian_upper_bound_unconstrained_trivial(di_qp, di_R):
     bp = make_barrier_problem(qp, eta=1e-3)
     T = barrier_hessian(bp, np.array([0.5, 0.1]))
     assert tensor_spectral_norm(T) <= 1e-5  # any positive bound dominates
+
+
+def test_directional_bounds_match_quad_opt_sandwich(clip_qp):
+    # both calculators evaluate the same sandwich (nu = m) on the clip
+    # program, whose constraint rows are all nonzero
+    checked = 0
+    for x0 in (np.array([0.8]), np.array([2.0]), np.array([-3.0])):
+        u_star = solve_qp(clip_qp, x0).u_star
+        for eta in (1e-3, 1e-1):
+            bp = make_barrier_problem(clip_qp, eta=eta)
+            db = directional_bounds(bp, x0, u_star)
+            reports = {r.name: r for r in quad_opt_bounds(
+                clip_qp.G, clip_qp.bounds_rhs(x0), clip_qp.H, clip_qp.Hinv_FT @ x0, eta,
+                nu=clip_qp.m)}
+            upper = reports["quad_gap_directional_upper"].rhs
+            lower = reports["quad_ball_radius"].lhs
+            assert abs(upper - db.upper) <= 1e-9 * abs(db.upper)
+            assert abs(lower - db.lower) <= 1e-9 * abs(db.lower)
+            checked += 1
+    assert checked == 6
 
 
 def random_bounded_polytope(rng, n, extra_rows):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import smoothmpc.experiments
 from smoothmpc.cli import main
 from smoothmpc.config import config_hash, default_config, load_config, validate_config
 
@@ -88,9 +89,10 @@ def test_cli_bounds_and_determinism(tiny_cfg, tmp_path):
     assert (out1 / "bound_reports.csv").exists()
 
 
-def test_cli_bounds_corrupt_exit_2(tiny_cfg, tmp_path):
-    code = main(["bounds", "--config", str(tiny_cfg), "--out", str(tmp_path / "o"),
-                 "--corrupt", "error_upper"])
+def test_cli_bounds_corrupt_exit_2(tiny_cfg, tmp_path, monkeypatch):
+    real = smoothmpc.experiments.error_upper
+    monkeypatch.setattr(smoothmpc.experiments, "error_upper", lambda bp: 1e-6 * real(bp))
+    code = main(["bounds", "--config", str(tiny_cfg), "--out", str(tmp_path / "o")])
     assert code == 2
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import smoothmpc.experiments
 from smoothmpc.config import default_config
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import (
@@ -118,12 +119,14 @@ def test_matched_levels_interpolation():
         assert abs(2.0 / sigma - l1) / l1 <= 1e-9  # exact on the power law
 
 
-def test_bounds_sweep_negative_control(bench):
-    rows, reports, _ = bounds_sweep(bench, [0.1], n_states=3, seed=1,
-                                    corrupt="error_upper", with_hessian=False)
-    assert any(not r.satisfied and r.name == "error_upper" for r in reports)
+def test_bounds_sweep_negative_control(bench, monkeypatch):
     rows2, reports2, _ = bounds_sweep(bench, [0.1], n_states=3, seed=1, with_hessian=False)
     assert all(r.satisfied for r in reports2)
+    # a global error bound shrunk a millionfold must be reported violated
+    real = smoothmpc.experiments.error_upper
+    monkeypatch.setattr(smoothmpc.experiments, "error_upper", lambda bp: 1e-6 * real(bp))
+    rows, reports, _ = bounds_sweep(bench, [0.1], n_states=3, seed=1, with_hessian=False)
+    assert any(not r.satisfied and r.name == "error_upper" for r in reports)
 
 
 def test_pmap_workers_match_serial_order():
