@@ -1,5 +1,5 @@
-"""Recentered log-barrier MPC: Newton solver, closed-form Jacobian, and
-the convex-combination structure of the solution map.
+"""Recentered log-barrier MPC: Newton solver, closed-form Jacobian and Hessian,
+and the convex-combination structure of the solution map.
 
 The barrier program replaces the hard constraints of the condensed QP by
 
@@ -22,8 +22,7 @@ from scipy.linalg import cho_solve
 
 from .core import CondensedQP, feasible_radii
 from .errors import InfeasibleError, NewtonConvergenceError
-from .explicit import MAX_ENUMERATION_M, gain_for_sigma
-from .matrixops import all_sigmas, is_singular_submatrix
+from .explicit import enumerate_nonsingular_sigmas, gain_for_sigma
 from .qp import chebyshev_center
 
 __all__ = [
@@ -276,35 +275,44 @@ def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
                            grad_norm=gnorm, decrements=tuple(decs))
 
 
-def barrier_jacobian(bp: BarrierProblem, sol: BarrierSolution, x0: np.ndarray) -> np.ndarray:
-    """Closed-form sensitivity of the barrier minimizer to the state.
+def _sensitivity(bp: BarrierProblem, sol: BarrierSolution):
+    """(solve, X) for the Jacobian system M X = G H^{-1} F^T - P.
 
-    du_eta/dx0 = H^{-1} [F^T - G^T (G H^{-1} G^T + eta^{-1} Phi^2)^{-1}
-    (G H^{-1} F^T - P)] with Phi = Diag(phi) at the solution. The inner
-    matrix is positive definite whenever all residuals are positive, and
-    is solved by its Cholesky factor L; (max L_ii / min L_ii)^2, a lower
-    bound on its condition number, above 1e14 (or a failed factorization)
-    draws a warning.
+    M = G H^{-1} G^T + eta^{-1} Phi^2 with Phi = Diag(phi) at the solution
+    is positive definite whenever all residuals are positive, and ``solve``
+    applies M^{-1} through its Cholesky factor L; (max L_ii / min L_ii)^2,
+    a lower bound on its condition number, above 1e14 (or a failed
+    factorization) draws a warning.
     """
     qp = bp.qp
     phi = np.asarray(sol.phi, dtype=float)
     if np.any(phi <= 0):
-        raise ValueError("barrier Jacobian requires strictly positive residuals")
+        raise ValueError("barrier derivatives require strictly positive residuals")
     M = qp.G @ qp.Hinv_GT + np.diag(phi ** 2 / bp.eta)
-    rhs = qp.G @ qp.Hinv_FT - qp.P
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         warnings.warn("barrier Jacobian system is not numerically positive definite",
                       RuntimeWarning)
-        X = np.linalg.solve(M, rhs)
+        solve = partial(np.linalg.solve, M)
     else:
         diag = np.diag(L)
         cond_lb = float((diag.max() / diag.min()) ** 2)
         if cond_lb > 1e14:
             warnings.warn(f"barrier Jacobian system is ill-conditioned (cond >= {cond_lb:.2e})",
                           RuntimeWarning)
-        X = cho_solve((L, True), rhs)
+        solve = partial(cho_solve, (L, True))
+    return solve, solve(qp.G @ qp.Hinv_FT - qp.P)
+
+
+def barrier_jacobian(bp: BarrierProblem, sol: BarrierSolution) -> np.ndarray:
+    """Closed-form sensitivity of the barrier minimizer to the state.
+
+    du_eta/dx0 = H^{-1} [F^T - G^T X] with X = M^{-1} (G H^{-1} F^T - P)
+    and M = G H^{-1} G^T + eta^{-1} Phi^2 (see ``_sensitivity``).
+    """
+    qp = bp.qp
+    _, X = _sensitivity(bp, sol)
     return np.linalg.solve(qp.H, qp.F.T - qp.G.T @ X)
 
 
@@ -317,8 +325,7 @@ class ConvexCombination:
     log_normalizer: float
 
 
-def convex_combination(bp: BarrierProblem, sol: BarrierSolution,
-                       x0: np.ndarray) -> ConvexCombination:
+def convex_combination(bp: BarrierProblem, sol: BarrierSolution) -> ConvexCombination:
     """Expand the barrier Jacobian as a convex combination of hard gains.
 
     Enumerates all active sets sigma with nonsingular Gram submatrix,
@@ -327,68 +334,56 @@ def convex_combination(bp: BarrierProblem, sol: BarrierSolution,
     computed in log space. Requires m <= MAX_ENUMERATION_M.
     """
     qp = bp.qp
-    if qp.m > MAX_ENUMERATION_M:
-        raise ValueError(f"refusing 2^{qp.m} active-set enumeration "
-                         f"(limit m <= {MAX_ENUMERATION_M})")
     phi = np.asarray(sol.phi, dtype=float)
     gram = qp.G @ qp.Hinv_GT
     log_c = np.log(phi ** 2 / bp.eta)
 
     entries = []
-    for s in all_sigmas(qp.m):
-        if int(s.sum()) > qp.n:
-            continue
-        if is_singular_submatrix(gram, s):
-            continue
+    for sigma in enumerate_nonsingular_sigmas(qp):
+        s = sigma.sigma
         sub = gram[np.ix_(s, s)]
         logdet = 0.0 if sub.shape[0] == 0 else float(np.linalg.slogdet(sub)[1])
         logh = logdet + float(log_c[~s].sum())
-        entries.append((s, logh))
+        entries.append((sigma, logh))
     logs = np.array([lh for _, lh in entries])
     top = logs.max()
     raw = np.exp(logs - top)
     total = raw.sum()
     recon = np.zeros((qp.n, qp.d_x))
     weights = {}
-    for (s, _), wgt in zip(entries, raw / total):
-        piece = gain_for_sigma(qp, s)
+    for (sigma, _), wgt in zip(entries, raw / total):
+        piece = gain_for_sigma(qp, sigma)
         recon += wgt * piece.K
-        key = "".join("1" if bb else "0" for bb in s)
-        weights[key] = float(wgt)
+        weights[sigma.bitstring()] = float(wgt)
     log_normalizer = float(top + np.log(total))
     return ConvexCombination(weights=weights, reconstructed=recon,
                              log_normalizer=log_normalizer)
 
 
-def barrier_hessian(bp: BarrierProblem, x0: np.ndarray) -> np.ndarray:
-    """State Hessian of the solution map, shape (n, d_x, d_x).
+def barrier_hessian(bp: BarrierProblem, sol: BarrierSolution) -> np.ndarray:
+    """State Hessian of the solution map at ``sol``, shape (n, d_x, d_x).
 
-    Central differences of the closed-form Jacobian along coordinate
-    directions; the analytic Jacobian is exact, so one finite-difference
-    layer suffices. Each stencil solve warm-starts from the previous one.
-    The step starts at 1e-5 (1 + ||x0||) and shrinks automatically when a perturbed state leaves the
-    feasible set and fails below 1e-10.
+    Differentiates the closed-form Jacobian: since M X = G H^{-1} F^T - P,
+    the residuals move as dphi/dx0 = P - G J = -Phi^2 X / eta, so
+
+        T[:, j, k] = -(2 / eta^2) H^{-1} G^T M^{-1} Diag(phi^3) (X[:, j] * X[:, k]),
+
+    one more solve with the Jacobian's factor of M. T is symmetric in its
+    two state slots by construction.
     """
-    x0 = np.asarray(x0, dtype=float)
-    d_x = bp.qp.d_x
-    h = 1e-5 * (1.0 + float(np.linalg.norm(x0)))
-    warm = None
-    while h >= 1e-10:
-        try:
-            slabs = []
-            for j in range(d_x):
-                e = np.zeros(d_x)
-                e[j] = h
-                jacs = []
-                for x in (x0 + e, x0 - e):
-                    sol = solve_barrier(bp, x, warm=warm)
-                    warm = sol.u_eta
-                    jacs.append(barrier_jacobian(bp, sol, x))
-                slabs.append((jacs[0] - jacs[1]) / (2.0 * h))
-            return np.stack(slabs, axis=2)
-        except InfeasibleError:
-            h *= 0.25
-    raise InfeasibleError("state too close to the feasibility boundary for differencing")
+    qp = bp.qp
+    solve, X = _sensitivity(bp, sol)
+    phi = np.asarray(sol.phi, dtype=float)
+    d_x = qp.d_x
+    rhs = (phi ** 3)[:, None, None] * (X[:, :, None] * X[:, None, :])
+    Z = solve(rhs.reshape(qp.m, d_x * d_x)).reshape(qp.m, d_x, d_x)
+    return (-2.0 / bp.eta ** 2) * np.einsum("im,mjk->ijk", qp.Hinv_GT, Z)
+
+
+def _slice_norms(T: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Spectral norms of T contracted with (cos theta, sin theta), one per angle."""
+    Y = np.stack([np.cos(thetas), np.sin(thetas)])
+    return np.linalg.svd(np.moveaxis(T @ Y, -1, 0), compute_uv=False)[:, 0]
 
 
 def tensor_spectral_norm(T: np.ndarray) -> float:
@@ -404,17 +399,15 @@ def tensor_spectral_norm(T: np.ndarray) -> float:
         return float(np.linalg.norm(T[:, :, 0], 2))
     if d == 2:
         thetas = np.linspace(0.0, np.pi, 721)
-        sweep = [float(np.linalg.norm(T @ np.array([np.cos(th), np.sin(th)]), 2))
-                 for th in thetas]
-        best = max(sweep)
+        sweep = _slice_norms(T, thetas)
+        best = float(sweep.max())
         # local refinement around the best angle
         i = int(np.argmax(sweep))
         lo, hi = thetas[max(i - 1, 0)], thetas[min(i + 1, len(thetas) - 1)]
         for _ in range(60):
             mid1 = lo + (hi - lo) / 3
             mid2 = hi - (hi - lo) / 3
-            f1 = np.linalg.norm(T @ np.array([np.cos(mid1), np.sin(mid1)]), 2)
-            f2 = np.linalg.norm(T @ np.array([np.cos(mid2), np.sin(mid2)]), 2)
+            f1, f2 = _slice_norms(T, np.array([mid1, mid2]))
             if f1 < f2:
                 lo = mid1
             else:

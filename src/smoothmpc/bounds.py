@@ -126,23 +126,18 @@ def residual_lower_bound(bp: BarrierProblem, x0: np.ndarray, u_star: np.ndarray,
                          radii: FeasibleRadii | None = None) -> float:
     """Strict-interiority floor for min_i phi_i(u_eta) over rows with ||g_i|| >= 1.
 
+    The lower side of the sandwich with the recentered-barrier parameter nu,
     (lambda_min/lambda_max)(r/R) * min{ (sqrt(eta + D^2) - D)/sqrt(nu lambda_min),
-    r/(2 nu + 4 sqrt(nu)) } with D the H-norm distance of u_star from the
-    unconstrained solution and nu the recentered-barrier parameter.
+    r/(2 nu + 4 sqrt(nu)) }, with D the H-norm distance of u_star from the
+    unconstrained solution.
     """
     qp = bp.qp
     x0 = np.asarray(x0, dtype=float)
     delta = np.asarray(u_star, dtype=float) - qp.Hinv_FT @ x0
-    D = _h_norm(qp, delta)
-    nu = bp.nu
     if radii is None:
         radii = feasible_radii(qp, x0)
-    r, R = radii.r, radii.R_center
-    lead = (qp.alpha1 / qp.alpha2) * (r / R)
-    return lead * min(
-        (math.sqrt(bp.eta + D * D) - D) / math.sqrt(nu * qp.alpha1),
-        r / (2.0 * nu + 4.0 * math.sqrt(nu)),
-    )
+    return _sandwich(bp.eta, bp.nu, qp.alpha1, qp.alpha2, _h_norm(qp, delta),
+                     radii.r, radii.R_center)[0]
 
 
 def normalized_min_residual(qp: CondensedQP, x0: np.ndarray, u: np.ndarray) -> float:

@@ -151,7 +151,7 @@ class BarrierExpert:
         return out
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return barrier_jacobian(self.bp, self._solve(x), x)[: self.bp.qp.d_u]
+        return barrier_jacobian(self.bp, self._solve(x))[: self.bp.qp.d_u]
 
 
 @dataclass
@@ -348,7 +348,9 @@ class _SmoothnessTask:
             # the Jacobian transition width scales like sqrt(eta)
             scale = float(np.clip(0.1 * math.sqrt(param), 2e-3, 0.25))
             met = expert_smoothness(expert.jacobian, feature_scale=scale)
-            hess = tensor_spectral_norm(barrier_hessian(expert.bp, probe))
+            # solved apart from the expert, whose warm-start chain _sup_error continues
+            hess = tensor_spectral_norm(barrier_hessian(expert.bp,
+                                                        solve_barrier(expert.bp, probe)))
         else:
             expert = bench.randomized_expert(param, n_samples=self.n_samples, seed=self.seed)
             h_fd = max(param / 20.0, 1e-4)
@@ -433,7 +435,7 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
             break
         try:
             rad = feasible_radii(qp, x0)
-            if rad.r < 5e-2:  # keep the Newton stencil inside the interior
+            if rad.r < 5e-2:  # decides which sampled states the sweep keeps
                 continue
             u_star = solve_qp(qp, x0).u_star
         except InfeasibleError:
@@ -465,11 +467,11 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
             except NotApplicableError:
                 gap = float("nan")
                 dir_lo = dir_hi = float("nan")
-            jac = barrier_jacobian(bp, sol, x0)
+            jac = barrier_jacobian(bp, sol)
             hess_norm = float("nan")
             hess_bound = float("nan")
             if with_hessian:
-                hess_norm = tensor_spectral_norm(barrier_hessian(bp, x0))
+                hess_norm = tensor_spectral_norm(barrier_hessian(bp, sol))
                 hess_bound = hessian_upper_bound(bp, x0, L, C, u_star=u_star, radii=rad)
                 reports.append(BoundReport.check("hessian_upper", hess_norm, hess_bound, ctx))
             rows.append({

@@ -120,7 +120,7 @@ def test_criterion_2_jacobian_vs_finite_differences(bench):
         bp = make_barrier_problem(qp, eta, outer_radius=bench.outer_radius)
         try:
             sol = solve_barrier(bp, x0)
-            J = barrier_jacobian(bp, sol, x0)
+            J = barrier_jacobian(bp, sol)
             Jfd = fd5(bp, x0, 1e-5 * (1.0 + np.linalg.norm(x0)))
         except InfeasibleError:
             continue
@@ -156,8 +156,8 @@ def test_criterion_3_convex_combination_identity():
             for eta in (1e-3, 1e-1, 10.0):
                 bp = make_barrier_problem(qp, eta)
                 sol = solve_barrier(bp, x0)
-                J = barrier_jacobian(bp, sol, x0)
-                comb = convex_combination(bp, sol, x0)
+                J = barrier_jacobian(bp, sol)
+                comb = convex_combination(bp, sol)
                 worst = max(worst, float(np.abs(J - comb.reconstructed).max()))
                 checked += 1
     _report(3, "Jacobian equals active-set convex combination", worst <= 1e-8,

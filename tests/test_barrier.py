@@ -164,7 +164,7 @@ def test_jacobian_formula_at_origin(di_qp, di_radius):
     for eta in (1e-3, 1.0, 1e3):
         bp = make_barrier_problem(di_qp, eta=eta, outer_radius=di_radius)
         sol = solve_barrier(bp, np.zeros(2))
-        J = barrier_jacobian(bp, sol, np.zeros(2))
+        J = barrier_jacobian(bp, sol)
         M = di_qp.G @ np.linalg.solve(di_qp.H, di_qp.G.T) + np.diag(di_qp.w ** 2 / eta)
         GHF = di_qp.G @ np.linalg.solve(di_qp.H, di_qp.F.T)
         J_direct = np.linalg.solve(di_qp.H, di_qp.F.T - di_qp.G.T @ np.linalg.solve(M, GHF - di_qp.P))
@@ -175,7 +175,7 @@ def test_jacobian_limit_small_eta_is_unconstrained_gain(di_qp, di_radius):
     bp = make_barrier_problem(di_qp, eta=1e-8, outer_radius=di_radius)
     x0 = np.array([0.5, 0.2])  # interior state: no constraint near the optimizer
     sol = solve_barrier(bp, x0)
-    J = barrier_jacobian(bp, sol, x0)
+    J = barrier_jacobian(bp, sol)
     K0 = np.linalg.solve(di_qp.H, di_qp.F.T)
     assert np.abs(J - K0).max() <= 1e-4
 
@@ -204,7 +204,7 @@ def test_jacobian_matches_finite_differences(di_qp, di_radius):
             continue
         if sol.phi.min() < 1e-3:  # keep the FD stencil strictly feasible
             continue
-        J = barrier_jacobian(bp, sol, x0)
+        J = barrier_jacobian(bp, sol)
         h = 1e-5 * (1.0 + np.linalg.norm(x0))
         J_fd = fd_jacobian(bp, x0, h)
         rel = np.abs(J - J_fd).max() / max(1.0, np.abs(J).max())
@@ -216,8 +216,8 @@ def test_convex_combination_one_d_box(clip_qp):
     x0 = np.array([0.4])
     bp = make_barrier_problem(clip_qp, eta=0.2)
     sol = solve_barrier(bp, x0)
-    comb = convex_combination(bp, sol, x0)
-    J = barrier_jacobian(bp, sol, x0)
+    comb = convex_combination(bp, sol)
+    J = barrier_jacobian(bp, sol)
     assert np.abs(comb.reconstructed - J).max() <= 1e-10 * max(1.0, np.abs(J).max())
     wsum = sum(comb.weights.values())
     assert abs(wsum - 1.0) <= 1e-12
@@ -232,7 +232,7 @@ def test_convex_combination_concentrates_for_small_eta(clip_qp):
     x0 = np.array([4.0])  # deep in the saturated piece
     bp = make_barrier_problem(clip_qp, eta=1e-6)
     sol = solve_barrier(bp, x0)
-    comb = convex_combination(bp, sol, x0)
+    comb = convex_combination(bp, sol)
     top = max(comb.weights.values())
     assert top > 0.99
 
@@ -241,24 +241,166 @@ def test_convex_combination_refuses_large_m(di_qp, di_radius):
     bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=di_radius)
     sol = solve_barrier(bp, np.zeros(2))
     with pytest.raises(ValueError):
-        convex_combination(bp, sol, np.zeros(2))
+        convex_combination(bp, sol)
 
 
 def test_hessian_unconstrained_is_zero():
     sys_, cost, cons = double_integrator_problem(state_bound=1e5, input_bound=1e5)
     qp = build_condensed(sys_, cost, cons)
     bp = make_barrier_problem(qp, eta=1e-3)
-    T = barrier_hessian(bp, np.array([0.5, 0.1]))
+    T = barrier_hessian(bp, solve_barrier(bp, np.array([0.5, 0.1])))
     assert tensor_spectral_norm(T) <= 1e-5
 
 
 def test_hessian_symmetric_slots_and_sign_symmetry(di_qp, di_radius):
     bp = make_barrier_problem(di_qp, eta=1.0, outer_radius=di_radius)
-    T = barrier_hessian(bp, np.zeros(2))
+    T = barrier_hessian(bp, solve_barrier(bp, np.zeros(2)))
     scale = 1.0 + np.abs(T).max()
     assert np.abs(T - np.transpose(T, (0, 2, 1))).max() <= 1e-4 * scale
     e1 = np.array([1.0, 0.0])
     assert abs(np.linalg.norm(T @ e1, 2) - np.linalg.norm(T @ (-e1), 2)) <= 1e-12
+
+
+def fd_hessian(bp, x0, h):
+    """Richardson-extrapolated central differences of the closed-form Jacobian,
+    the reference for ``barrier_hessian``: (4 D(h/2) - D(h)) / 3 per state axis."""
+    slabs = []
+    for j in range(bp.qp.d_x):
+        e = np.zeros(bp.qp.d_x)
+        e[j] = 1.0
+
+        def D(s):
+            up = barrier_jacobian(bp, solve_barrier(bp, x0 + s * e))
+            down = barrier_jacobian(bp, solve_barrier(bp, x0 - s * e))
+            return (up - down) / (2.0 * s)
+
+        slabs.append((4.0 * D(h / 2) - D(h)) / 3.0)
+    return np.stack(slabs, axis=2)
+
+
+def assert_hessian_matches_oracle(bp, x0, h):
+    T = barrier_hessian(bp, solve_barrier(bp, x0))
+    scale = np.abs(T).max()
+    assert scale > 0
+    assert np.abs(T - fd_hessian(bp, x0, h)).max() <= 1e-6 * scale
+    assert np.abs(T - np.transpose(T, (0, 2, 1))).max() <= 1e-14 * scale
+
+
+def test_hessian_matches_richardson_oracle_on_random_systems():
+    from test_warm_start import random_system
+
+    rng = np.random.default_rng(0)
+    dims = []
+    while len(dims) < 20:
+        _, qp = random_system(rng)
+        x0 = rng.uniform(-0.5, 0.5, size=qp.d_x)
+        bp = make_barrier_problem(qp, float(10.0 ** rng.uniform(-3, 0)), outer_radius=1.0)
+        try:
+            solve_barrier(bp, x0)
+        except InfeasibleError:
+            continue
+        assert_hessian_matches_oracle(bp, x0, 1e-4)
+        dims.append(qp.d_x)
+    assert set(dims) == {2, 3}
+
+
+def test_hessian_matches_richardson_oracle_on_clip(clip_qp):
+    for x0 in (0.2, 0.45, 0.7, 2.0):
+        for eta in (1e-3, 1e-1, 1.0):
+            assert_hessian_matches_oracle(make_barrier_problem(clip_qp, eta),
+                                          np.array([x0]), 1e-4)
+
+
+def test_hessian_matches_richardson_oracle_near_feasibility_boundary(di_qp, di_radius):
+    from smoothmpc.core import feasible_radii
+
+    def feasible(x):
+        try:
+            return feasible_radii(di_qp, x).r > 0
+        except InfeasibleError:
+            return False
+
+    direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    lo, hi = 0.0, 20.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid * direction) else (lo, mid)
+    x0 = (lo - 5e-5) * direction
+    # a coordinate step of 1e-5 (1 + ||x0||) leaves the feasible set here
+    h_old = 1e-5 * (1.0 + np.linalg.norm(x0))
+    assert not all(feasible(x0 + s * h_old * e) for e in np.eye(2) for s in (1.0, -1.0))
+    # at larger eta the Jacobian system is too ill-conditioned this close
+    # to the boundary for any difference quotient to resolve 1e-6
+    for eta in (1e-3, 1e-2):
+        bp = make_barrier_problem(di_qp, eta=eta, outer_radius=di_radius)
+        assert_hessian_matches_oracle(bp, x0, 1e-6)
+
+
+def test_hessian_makes_no_barrier_solves(di_qp, di_radius, monkeypatch):
+    import smoothmpc.barrier
+
+    bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=di_radius)
+    sol = solve_barrier(bp, np.array([2.0, 0.5]))
+    calls = []
+    real = smoothmpc.barrier.solve_barrier
+    monkeypatch.setattr(smoothmpc.barrier, "solve_barrier",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    barrier_hessian(bp, sol)
+    assert calls == []
+
+
+def sweep_norm_loop(T):
+    """The per-angle reference for the d = 2 branch of ``tensor_spectral_norm``."""
+    thetas = np.linspace(0.0, np.pi, 721)
+    sweep = [float(np.linalg.norm(T @ np.array([np.cos(th), np.sin(th)]), 2))
+             for th in thetas]
+    best = max(sweep)
+    i = int(np.argmax(sweep))
+    lo, hi = thetas[max(i - 1, 0)], thetas[min(i + 1, len(thetas) - 1)]
+    for _ in range(60):
+        mid1 = lo + (hi - lo) / 3
+        mid2 = hi - (hi - lo) / 3
+        f1 = np.linalg.norm(T @ np.array([np.cos(mid1), np.sin(mid1)]), 2)
+        f2 = np.linalg.norm(T @ np.array([np.cos(mid2), np.sin(mid2)]), 2)
+        if f1 < f2:
+            lo = mid1
+        else:
+            hi = mid2
+        best = max(best, float(f1), float(f2))
+    return best
+
+
+def test_tensor_norm_two_d_matches_per_angle_loop(di_qp, di_radius):
+    rng = np.random.default_rng(3)
+    tensors = [rng.standard_normal((int(rng.integers(1, 12)), 2, 2)) for _ in range(10)]
+    for x0, eta in (([2.0, 0.5], 1e-3), ([-4.0, 1.0], 0.1), ([6.0, -2.0], 1.0)):
+        bp = make_barrier_problem(di_qp, eta=eta, outer_radius=di_radius)
+        tensors.append(barrier_hessian(bp, solve_barrier(bp, np.array(x0))))
+    for T in tensors:
+        ref = sweep_norm_loop(T)
+        assert abs(tensor_spectral_norm(T) - ref) <= 1e-12 * ref
+
+
+def test_tensor_norm_power_iteration_dominates_sphere_sample():
+    from test_warm_start import random_system
+
+    rng = np.random.default_rng(1)
+    checked = 0
+    while checked < 3:
+        _, qp = random_system(rng)
+        if qp.d_x != 3:
+            continue
+        bp = make_barrier_problem(qp, 0.05, outer_radius=1.0)
+        try:
+            sol = solve_barrier(bp, rng.uniform(-0.5, 0.5, size=3))
+        except InfeasibleError:
+            continue
+        T = barrier_hessian(bp, sol)
+        Y = rng.standard_normal((20000, 3))
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+        sampled = np.linalg.svd(np.einsum("ijk,sk->sij", T, Y), compute_uv=False)[:, 0].max()
+        assert tensor_spectral_norm(T) >= sampled * (1.0 - 1e-9)
+        checked += 1
 
 
 def test_pi_barrier_origin_and_monotone_deviation(di_qp, di_radius):

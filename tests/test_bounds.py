@@ -151,6 +151,13 @@ def test_residual_lower_bound_sweep(di_qp, di_R):
         res_lb = residual_lower_bound(bp, x0, u_star, radii=rad)
         assert res_lb > 0
         assert sol.phi[row_ok].min() >= res_lb * (1 - 1e-9)
+        # the floor as stated, written out apart from the sandwich it reuses
+        delta = u_star - di_qp.Hinv_FT @ x0
+        D = math.sqrt(float(delta @ di_qp.H @ delta))
+        a1, a2, nu = di_qp.alpha1, di_qp.alpha2, bp.nu
+        stated = (a1 / a2) * (rad.r / rad.R_center) * min(
+            (math.sqrt(eta + D * D) - D) / math.sqrt(nu * a1), rad.r / (2 * nu + 4 * math.sqrt(nu)))
+        assert abs(res_lb - stated) <= 1e-12 * stated
         checked += 1
 
 
@@ -194,7 +201,7 @@ def test_hessian_upper_bound_dominates_clip(clip_qp):
     x0 = np.array([2.0])
     for eta in (1e-3, 1e-1, 1e1):
         bp = make_barrier_problem(clip_qp, eta=eta)
-        T = barrier_hessian(bp, x0)
+        T = barrier_hessian(bp, solve_barrier(bp, x0))
         measured = tensor_spectral_norm(T)
         bound = hessian_upper_bound(bp, x0, L, C)
         assert measured <= bound * (1 + 1e-6)
@@ -204,7 +211,7 @@ def test_hessian_upper_bound_unconstrained_trivial(di_qp, di_R):
     sys_, cost, cons = double_integrator_problem(state_bound=1e5, input_bound=1e5)
     qp = build_condensed(sys_, cost, cons)
     bp = make_barrier_problem(qp, eta=1e-3)
-    T = barrier_hessian(bp, np.array([0.5, 0.1]))
+    T = barrier_hessian(bp, solve_barrier(bp, np.array([0.5, 0.1])))
     assert tensor_spectral_norm(T) <= 1e-5  # any positive bound dominates
 
 

@@ -115,7 +115,7 @@ def test_sample_dataset_solves_each_recorded_state_once(monkeypatch):
     assert len(solved) == N * K  # rejected proposals raise and are not counted
     assert sorted(solved) == sorted(x.tobytes() for x in ds.states.reshape(N * K, -1))
     for x, J in zip(ds.states.reshape(N * K, -1), ds.jacobians.reshape(N * K, qp.d_u, -1)):
-        ref = barrier_jacobian(bp, real(bp, x), x)[: qp.d_u]
+        ref = barrier_jacobian(bp, real(bp, x))[: qp.d_u]
         assert np.abs(J - ref).max() <= 1e-6 * (1.0 + np.abs(ref).max())
 
 
