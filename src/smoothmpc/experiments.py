@@ -288,6 +288,8 @@ def _sup_error(policy, reference, pts: np.ndarray) -> float:
     a = policy.eval_batch(pts)
     b = reference.eval_batch(pts)
     ok = ~(np.any(np.isnan(a), axis=1) | np.any(np.isnan(b), axis=1))
+    if not ok.any():
+        raise ValueError(f"none of the {pts.shape[0]} states evaluated on both policies")
     return float(np.max(np.linalg.norm(a[ok] - b[ok], axis=1)))
 
 

@@ -42,6 +42,9 @@ DUAL_TOL = 1e-9
 # active-set enumeration (2^m sets) is refused above this many constraints
 MAX_ENUMERATION_M = 20
 GAIN_ROUND_DECIMALS = 6
+# the point-location grid splits each of the d_x axes into
+# round(BUCKET_CELLS ** (1 / d_x)) buckets: 64 x 64 in the plane
+BUCKET_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -213,7 +216,8 @@ class PieceCollection:
     """Distinct affine pieces discovered over a grid, with occupancy counts.
 
     ``pieces``/``occupancy`` are deduplicated by rounded (K, k);
-    ``sigma_count`` is the number of distinct active sets beforehand.
+    ``sigma_count`` is the number of distinct active sets beforehand;
+    ``box`` is the (lo, hi) corner pair of the grid's bounding box.
     """
 
     pieces: list
@@ -221,7 +225,7 @@ class PieceCollection:
     n_feasible: int
     n_infeasible: int
     sigma_count: int
-    grid_shape: tuple = ()
+    box: tuple
 
     @property
     def n_pieces(self) -> int:
@@ -322,7 +326,8 @@ def discover_pieces(qp: CondensedQP, grid: np.ndarray, method: str = "assign") -
     pieces, occupancy = _dedupe_by_gain(qp, {k: tuple(v) for k, v in sigma_pieces.items()})
     return PieceCollection(pieces=pieces, occupancy=occupancy,
                            n_feasible=N - n_inf, n_infeasible=n_inf,
-                           sigma_count=len(sigma_pieces))
+                           sigma_count=len(sigma_pieces),
+                           box=(grid.min(axis=0), grid.max(axis=0)))
 
 
 def _discover_per_point(qp: CondensedQP, grid: np.ndarray) -> PieceCollection:
@@ -344,15 +349,71 @@ def _discover_per_point(qp: CondensedQP, grid: np.ndarray) -> PieceCollection:
     pieces, occupancy = _dedupe_by_gain(qp, {k: tuple(v) for k, v in sigma_pieces.items()})
     return PieceCollection(pieces=pieces, occupancy=occupancy,
                            n_feasible=grid.shape[0] - n_inf, n_infeasible=n_inf,
-                           sigma_count=len(sigma_pieces))
+                           sigma_count=len(sigma_pieces),
+                           box=(grid.min(axis=0), grid.max(axis=0)))
+
+
+def _bucket_candidates(regions: list, lo: np.ndarray, width: np.ndarray, n: int,
+                       tol_scale: np.ndarray) -> np.ndarray:
+    """cand[r, c]: may region r hold a state of bucket c? Column n**d is "anywhere".
+
+    Each row of a region's test is written as x . a - v <= t, with t the
+    test's own tolerance. Region r is ruled out of a box (centre c,
+    half-widths h) when some row's least value over it,
+    c . a - |a| . h - v, exceeds t plus a bound on the rounding of that
+    value and of x . a - v in the test (dot products of d_x terms with
+    |x|, |c| + h <= reach). Boxes are padded by ``pad``, which covers the
+    rounding of the bucket index in ``PieceTableEvaluator._cells`` and of
+    the box centres (a few eps of n * width, |lo| and |hi|), so every
+    region whose test can pass at a state assigned to a bucket stays a
+    candidate there. Blocks of f**d buckets are tested first: a region
+    ruled out of a block is ruled out of its buckets, and only rows that
+    exceed t somewhere in the remaining blocks are tested per bucket
+    (dropping a row can only add candidates).
+    """
+    d = lo.size
+    eps = np.finfo(float).eps
+    f = max(1, round(np.sqrt(n)))
+    nb = -(-n // f)
+    pad = 16 * eps * (n * width + np.abs(lo) + np.abs(lo + n * width))
+    reach = np.maximum(np.abs(lo), np.abs(lo + n * width)) + f * width
+
+    def centers_of(count, size):
+        axes = np.meshgrid(*[np.arange(count)] * d, indexing="ij")
+        idx = np.stack([a.ravel() for a in axes], axis=1)
+        return idx, lo + (idx + 0.5) * size
+
+    idx, centers = centers_of(n, width)
+    block = np.ravel_multi_index(tuple((idx // f).T), (nb,) * d)
+    _, block_centers = centers_of(nb, f * width)
+    cand = np.zeros((len(regions), n ** d + 1), dtype=bool)
+    cand[:, -1] = True
+    for r, region in enumerate(regions):
+        A = np.vstack([region.primal_M, -region.dual_M])
+        v = np.concatenate([region.primal_v, region.dual_v])
+        absA = np.abs(A)
+        t = np.concatenate([tol_scale, np.full(region.dual_v.size, DUAL_TOL)])
+        t += 8 * (d + 1) * eps * (absA @ reach + np.abs(v))
+        mid = block_centers @ A.T - v
+        spread = absA @ (0.5 * f * width + pad)
+        ok = ~np.any(mid - spread > t, axis=1)
+        rows = np.any(mid[ok] + spread > t, axis=0)
+        near = np.flatnonzero(ok[block])
+        low = centers[near] @ A[rows].T - v[rows] - absA[rows] @ (0.5 * width + pad)
+        cand[r, near] = ~np.any(low > t[rows], axis=1)
+    return cand
 
 
 class PieceTableEvaluator:
     """Fast batched evaluation of the explicit law through a piece table.
 
-    Points are matched against regions in occupancy order with exact
-    primal/dual tests; unmatched points (outside every discovered region,
-    or infeasible) fall back to a per-point QP solve or NaN.
+    A state's piece is the first region, in occupancy order, whose exact
+    primal/dual test it passes. A uniform bucket grid over the discovery
+    box lists, per bucket, the regions that can hold a state there (a
+    superset, so the first match is the same as a scan over every
+    region); states outside the box or not finite are tested against
+    every region. Unmatched states (outside every discovered region, or
+    infeasible) fall back to a per-point QP solve or NaN.
     """
 
     def __init__(self, qp: CondensedQP, collection: PieceCollection):
@@ -361,6 +422,40 @@ class PieceTableEvaluator:
         order = np.argsort(-collection.occupancy, kind="stable")
         self._regions = [_region_data(qp, collection.pieces[i]) for i in order]
         self._tol_scale = ACTIVE_TOL * (1.0 + np.abs(qp.w))
+        lo, hi = (np.asarray(c, dtype=float) for c in collection.box)
+        self._n = max(1, round(BUCKET_CELLS ** (1.0 / qp.d_x)))
+        self._lo = lo
+        # a one-point grid axis (resolution 1) gets unit-width buckets
+        self._width = np.where(hi > lo, (hi - lo) / self._n, 1.0)
+        self._candidates = _bucket_candidates(self._regions, lo, self._width, self._n,
+                                              self._tol_scale)
+
+    def _cells(self, X: np.ndarray) -> np.ndarray:
+        """Bucket index of each row; n**d_x for rows outside the box or not finite."""
+        t = (X - self._lo) / self._width
+        inside = np.all((t >= 0) & (t <= self._n), axis=1)
+        cells = np.full(X.shape[0], self._n ** X.shape[1], dtype=np.intp)
+        idx = np.minimum(t[inside].astype(np.intp), self._n - 1)
+        cells[inside] = np.ravel_multi_index(tuple(idx.T), (self._n,) * X.shape[1])
+        return cells
+
+    def _locate(self, X: np.ndarray) -> np.ndarray:
+        """Occupancy-order index of the first region holding each row; -1 for none."""
+        which = np.full(X.shape[0], -1, dtype=np.intp)
+        cells = self._cells(X)
+        todo = np.arange(X.shape[0])
+        seen = np.bincount(cells, minlength=self._candidates.shape[1]) > 0
+        for r in np.flatnonzero(self._candidates[:, seen].any(axis=1)):
+            test = todo[self._candidates[r, cells[todo]]]
+            if test.size == 0:
+                continue
+            hit = test[_region_mask(self._regions[r], X[test], self._tol_scale)]
+            if hit.size:
+                which[hit] = r
+                todo = todo[which[todo] < 0]
+                if todo.size == 0:
+                    break
+        return which
 
     def eval_batch(self, X: np.ndarray, fallback: str = "qp") -> np.ndarray:
         """First-input controls for a batch of states, shape (N, d_u).
@@ -368,20 +463,15 @@ class PieceTableEvaluator:
         ``fallback``: "qp" solves unmatched points exactly, "nan" marks them.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        N = X.shape[0]
-        out = np.full((N, self.qp.d_u), np.nan)
-        todo = np.arange(N)
-        for region in self._regions:
-            if todo.size == 0:
-                break
-            mask = _region_mask(region, X[todo], self._tol_scale)
-            hit = todo[mask]
-            if hit.size:
-                U = X[hit] @ region.piece.K.T + region.piece.k
-                out[hit] = U[:, : self.qp.d_u]
-                todo = todo[~mask]
-        if todo.size and fallback == "qp":
-            for i in todo:
+        out = np.full((X.shape[0], self.qp.d_u), np.nan)
+        which = self._locate(X)
+        for r in np.unique(which[which >= 0]):
+            hit = np.flatnonzero(which == r)
+            piece = self._regions[r].piece
+            U = X[hit] @ piece.K.T + piece.k
+            out[hit] = U[:, : self.qp.d_u]
+        if fallback == "qp":
+            for i in np.flatnonzero(which < 0):
                 try:
                     out[i] = solve_qp(self.qp, X[i]).u_star[: self.qp.d_u]
                 except InfeasibleError:
@@ -396,11 +486,8 @@ class PieceTableEvaluator:
 
     def piece_at(self, x: np.ndarray) -> AffinePiece | None:
         """The first discovered piece whose region contains x, if any."""
-        X = np.asarray(x, dtype=float)[None, :]
-        for region in self._regions:
-            if _region_mask(region, X, self._tol_scale)[0]:
-                return region.piece
-        return None
+        r = self._locate(np.asarray(x, dtype=float)[None, :])[0]
+        return self._regions[r].piece if r >= 0 else None
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """First-input gain rows of the piece active at x.

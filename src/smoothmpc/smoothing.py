@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 DISTRIBUTIONS = ("uniform-ball", "uniform-box", "gaussian")
+# a smoothed evaluation raises when more than this share of its samples fail
+MAX_FAILED_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ def pi_rs(policy, cfg: SmoothingConfig, x: np.ndarray, projector=None) -> RSEval
     vals = _evaluate_samples(policy, X)
     ok = ~np.any(np.isnan(vals), axis=1)
     failed = 1.0 - ok.mean()
-    if failed > 0.5:
+    if failed > MAX_FAILED_FRACTION:
         raise SmoothingFailureError(
             f"{failed:.0%} of smoothing samples failed to evaluate")
     good = vals[ok]
@@ -139,7 +141,12 @@ class RandomizedPolicy:
         return pi_rs(self.base, self.cfg, x, projector=self.projector).u
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """Smoothed controls for a batch of states sharing one set of draws."""
+        """Smoothed controls for a batch of states sharing one set of draws.
+
+        Raises SmoothingFailureError if more than half the samples of some
+        state fail to evaluate; otherwise each state's failed samples are
+        left out of its mean.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         B, d = X.shape
         rng = np.random.default_rng(self.cfg.seed)
@@ -148,6 +155,11 @@ class RandomizedPolicy:
         if self.projector is not None:
             pts = self.projector(pts)
         vals = _evaluate_samples(self.base, pts).reshape(B, self.cfg.n_samples, -1)
+        failed = np.any(np.isnan(vals), axis=2).mean(axis=1)
+        worst = int(np.argmax(failed))
+        if failed[worst] > MAX_FAILED_FRACTION:
+            raise SmoothingFailureError(
+                f"{failed[worst]:.0%} of smoothing samples failed to evaluate at state {worst}")
         return np.nanmean(vals, axis=1)
 
     def jacobian(self, x: np.ndarray, h: float = 1e-4) -> np.ndarray:

@@ -9,6 +9,7 @@ from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import (
     Workbench,
     _pmap,
+    _sup_error,
     bounds_sweep,
     expert_smoothness,
     feasible_polygon,
@@ -132,6 +133,22 @@ def test_bounds_sweep_negative_control(bench, monkeypatch):
 def test_pmap_workers_match_serial_order():
     items = [-3.0, 2.0, -1.0, 4.0]
     assert _pmap(abs, items, jobs=2) == _pmap(abs, items, jobs=1) == [3.0, 2.0, 1.0, 4.0]
+
+
+def test_sup_error_needs_a_state_evaluated_on_both_policies():
+    class NanOn:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def eval_batch(self, X):
+            out = np.zeros((X.shape[0], 1))
+            out[self.rows] = np.nan
+            return out
+
+    pts = np.zeros((3, 2))
+    assert _sup_error(NanOn([0]), NanOn([1]), pts) == 0.0
+    with pytest.raises(ValueError, match="none of the 3 states evaluated on both policies"):
+        _sup_error(NanOn([0, 2]), NanOn([1]), pts)
 
 
 def test_imitation_run_smoke(bench, tmp_path):

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import smoothmpc.explicit
 
 from smoothmpc.core import (
     box_constraints,
@@ -16,6 +20,7 @@ from smoothmpc.errors import DegenerateActiveSetError, InfeasibleError
 from smoothmpc.explicit import (
     ActiveSet,
     PieceTableEvaluator,
+    _region_mask,
     discover_pieces,
     enumerate_nonsingular_sigmas,
     gain_for_sigma,
@@ -25,6 +30,7 @@ from smoothmpc.explicit import (
     state_grid,
 )
 from smoothmpc.qp import dual_ascent_qp, raw_solve_qp
+from test_warm_start import random_system
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +226,149 @@ def test_enumerate_nonsingular_small():
     assert ActiveSet(np.zeros(4, dtype=bool)) in sigmas
     assert all(s.popcount <= 1 for s in sigmas)
     assert len(sigmas) == 5
+
+
+# --- bucketed point location against the sequential region scan -------------
+
+def _scan_oracle(table, X, fallback="qp"):
+    """The sequential scan the bucket grid replaced: every state against every
+    region in occupancy order, then the QP fallback or NaN."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.full((X.shape[0], table.qp.d_u), np.nan)
+    todo = np.arange(X.shape[0])
+    for region in table._regions:
+        if todo.size == 0:
+            break
+        mask = _region_mask(region, X[todo], table._tol_scale)
+        hit = todo[mask]
+        if hit.size:
+            U = X[hit] @ region.piece.K.T + region.piece.k
+            out[hit] = U[:, : table.qp.d_u]
+            todo = todo[~mask]
+    if todo.size and fallback == "qp":
+        for i in todo:
+            try:
+                out[i] = solve_qp(table.qp, X[i]).u_star[: table.qp.d_u]
+            except InfeasibleError:
+                pass
+    return out
+
+
+def _scan_piece(table, x):
+    X = np.asarray(x, dtype=float)[None, :]
+    for region in table._regions:
+        if _region_mask(region, X, table._tol_scale)[0]:
+            return region.piece
+    return None
+
+
+def probe_states(rng, table, grid, count):
+    """Discovery-grid points (on region facets), bucket corners, states
+    inside and just outside the bucket box, far outside it, and rows with
+    NaN or inf entries."""
+    lo, hi = table.collection.box
+    span = hi - lo
+    corners = lo + rng.integers(0, table._n + 1, size=(count, lo.size)) * table._width
+    near = rng.uniform(lo - 0.2 * span, hi + 0.2 * span, size=(count, lo.size))
+    far = rng.uniform(-10.0, 10.0, size=(count // 10, lo.size)) * span
+    bad = rng.uniform(lo, hi, size=(6, lo.size))
+    bad[[0, 1], 0] = np.nan
+    bad[2, -1] = np.inf
+    bad[3, -1] = -np.inf
+    bad[4] = np.nan
+    bad[5, 0] = np.inf
+    picks = grid[rng.choice(grid.shape[0], size=min(count, grid.shape[0]), replace=False)]
+    return np.vstack([picks, corners, near, far, bad])
+
+
+def assert_matches_scan(table, X, qp_rows, piece_rows):
+    """Bucketed eval_batch (both fallbacks) and piece_at equal the scan bit for bit."""
+    assert np.array_equal(table.eval_batch(X, fallback="nan"),
+                          _scan_oracle(table, X, "nan"), equal_nan=True)
+    Xq = X[qp_rows]
+    Xq = Xq[np.all(np.isfinite(Xq), axis=1)]  # the QP rejects non-finite states
+    assert np.array_equal(table.eval_batch(Xq, fallback="qp"),
+                          _scan_oracle(table, Xq, "qp"), equal_nan=True)
+    for x in X[piece_rows]:
+        assert table.piece_at(x) is _scan_piece(table, x)
+
+
+@pytest.fixture(scope="module")
+def di_table(di_qp):
+    grid = state_grid([-10, -10], [10, 10], 101)
+    return grid, PieceTableEvaluator(di_qp, discover_pieces(di_qp, grid))
+
+
+def test_bucketed_table_matches_scan_double_integrator(di_table):
+    grid, table = di_table
+    rng = np.random.default_rng(41)
+    X = probe_states(rng, table, grid, 3000)
+    ev = table.eval_batch(X, fallback="nan")
+    assert np.isnan(ev).any(axis=1).sum() > 100  # infeasible and unmatched states
+    assert_matches_scan(table, X, rng.choice(X.shape[0], 150, replace=False),
+                        rng.choice(X.shape[0], 600, replace=False))
+    assert_matches_scan(table, grid, np.arange(0, grid.shape[0], 97),
+                        np.arange(0, grid.shape[0], 7))
+    with pytest.raises(ValueError):
+        _scan_oracle(table, np.array([[np.nan, 0.0]]), "qp")
+    with pytest.raises(ValueError):
+        table.eval_batch(np.array([[np.nan, 0.0]]), fallback="qp")
+
+
+@pytest.mark.parametrize("shift", [0.0, 2e-10])
+def test_bucketed_table_matches_scan_clip(clip_qp, shift):
+    # Place the grid so that the kink x* of the law lies on a bucket edge, or
+    # just past it: the saturated region then reaches into the bucket below
+    # only through its test tolerance (-1e-9 on a multiplier of slope 4).
+    interior = gain_for_sigma(clip_qp, ActiveSet(np.zeros(clip_qp.m, dtype=bool)))
+    kink = -1.0 / interior.K[0, 0]
+    width = 1.0 / 512
+    lo = kink - shift - 2304 * width
+    grid = state_grid([lo], [lo + smoothmpc.explicit.BUCKET_CELLS * width], 201)
+    table = PieceTableEvaluator(clip_qp, discover_pieces(clip_qp, grid))
+    assert table._width[0] == width
+    assert table._cells(np.array([[kink - shift - 1e-12]]))[0] == 2303
+    rng = np.random.default_rng(43)
+    near_kink = kink + np.linspace(-1e-9, 1e-9, 401)[:, None]
+    X = np.vstack([probe_states(rng, table, grid, 400), near_kink])
+    assert_matches_scan(table, X, np.arange(X.shape[0]), np.arange(X.shape[0]))
+
+
+@pytest.mark.parametrize("d_x", [2, 3])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_bucketed_table_matches_scan_random_systems(d_x, seed):
+    rng = np.random.default_rng(seed)
+    qp = random_system(rng)[1]
+    while qp.d_x != d_x:
+        qp = random_system(rng)[1]
+    grid = state_grid([-2.5] * d_x, [2.5] * d_x, 21 if d_x == 2 else 9)
+    table = PieceTableEvaluator(qp, discover_pieces(qp, grid))
+    X = probe_states(rng, table, grid, 300)
+    assert_matches_scan(table, X, rng.choice(X.shape[0], 60, replace=False),
+                        rng.choice(X.shape[0], 150, replace=False))
+
+
+def test_batch_inside_one_bucket_tests_only_its_candidates(di_table, monkeypatch):
+    _, table = di_table
+    candidates = table._candidates[:, :-1]
+    cell = int(np.argmax(candidates.sum(axis=0)))
+    allowed = {id(table._regions[r]) for r in np.flatnonzero(candidates[:, cell])}
+    assert 2 <= len(allowed) <= len(table._regions) // 10
+    idx = np.array(np.unravel_index(cell, (table._n,) * 2))
+    rng = np.random.default_rng(47)
+    lo = table.collection.box[0]
+    X = lo + (idx + rng.uniform(0.01, 0.99, size=(500, 2))) * table._width
+    assert np.all(table._cells(X) == cell)
+    expected = _scan_oracle(table, X, "nan")
+    tested = []
+
+    def counting(region, X, tol_scale):
+        tested.append(id(region))
+        return _region_mask(region, X, tol_scale)
+
+    monkeypatch.setattr(smoothmpc.explicit, "_region_mask", counting)
+    assert np.array_equal(table.eval_batch(X, fallback="nan"), expected, equal_nan=True)
+    assert 1 <= len(tested) <= len(allowed)
+    assert set(tested) <= allowed
+    assert len(set(tested)) == len(tested)

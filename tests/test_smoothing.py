@@ -97,6 +97,44 @@ def test_failure_signal_over_half():
         pi_rs(flaky, cfg, np.array([3.0]))
 
 
+class FailingShare:
+    """Batch policy u = x[0] that fails (NaN) on the first ``tenths`` of
+    every ten consecutive rows, so on that share of each state's samples."""
+
+    def __init__(self, tenths):
+        self.tenths = tenths
+
+    def eval_batch(self, X):
+        out = X[:, :1].copy()
+        out[np.arange(X.shape[0]) % 10 < self.tenths] = np.nan
+        return out
+
+
+def test_batch_failure_over_half_of_a_state_raises():
+    cfg = SmoothingConfig(sigma=0.5, distribution="gaussian", n_samples=100, seed=2)
+    X = np.array([[0.0, 1.0], [2.0, -1.0]])
+    with pytest.raises(SmoothingFailureError, match="60%"):
+        RandomizedPolicy(FailingShare(6), cfg).eval_batch(X)
+
+    class FailsRightOfFive:
+        def eval_batch(self, X):
+            return np.where(X[:, :1] > 5.0, np.nan, 1.0)
+
+    # 50 % of all samples fail, but all of the second state's
+    with pytest.raises(SmoothingFailureError, match="state 1"):
+        RandomizedPolicy(FailsRightOfFive(), cfg).eval_batch(np.array([[0.0, 0.0], [9.0, 0.0]]))
+
+
+def test_batch_failure_under_half_averages_the_rest():
+    cfg = SmoothingConfig(sigma=0.5, distribution="gaussian", n_samples=100, seed=2)
+    X = np.array([[0.0, 1.0], [2.0, -1.0]])
+    u = RandomizedPolicy(FailingShare(4), cfg).eval_batch(X)
+    W = draw_noise("gaussian", 100, 2, np.random.default_rng(2))
+    kept = np.arange(100) % 10 >= 4
+    expected = [np.mean(x[0] + 0.5 * W[kept, 0]) for x in X]
+    assert np.allclose(u[:, 0], expected, rtol=0, atol=1e-12)
+
+
 def test_batch_type_error_propagates():
     class BrokenNanPath:
         def eval_batch(self, X, fallback="qp"):
