@@ -9,6 +9,12 @@ with phi = P x0 + w - G u and the recentering vector d chosen so that the
 minimizer at x0 = 0 is exactly u = 0. Rows of G that are identically zero
 contribute a u-independent constant to the barrier; they are validated for
 strict positivity and excluded from the Newton system.
+
+The state derivatives of the minimizer differentiate its optimality
+condition in the input space. With A = H + eta G^T Phi^{-2} G, the Newton
+matrix at the solution, J = A^{-1} (F^T + eta G^T Phi^{-2} P), the residuals
+move as dphi = P - G J, and T[:, j, k] = -2 eta A^{-1} G^T Phi^{-3}
+(dphi_j * dphi_k): one n x n Cholesky factor serves both.
 """
 
 from __future__ import annotations
@@ -156,10 +162,14 @@ def _objective(H, f, d, eta, G, b):
         return H @ u - f + eta * (G.T @ (1.0 / phi_of(u)) + d)
 
     def hess(u):
-        r = 1.0 / phi_of(u)
-        return H + eta * (G * (r ** 2)[:, None]).T @ G
+        return _newton_matrix(H, eta, G, 1.0 / phi_of(u))
 
     return value, grad, hess, phi_of
+
+
+def _newton_matrix(H, eta, G, r):
+    """H + eta G^T Diag(r^2) G, the log-barrier objective's Hessian at residuals 1 / r."""
+    return H + eta * (G * (r ** 2)[:, None]).T @ G
 
 
 def _newton(u, value, grad, hess, phi_of, max_iter, tol, record=None):
@@ -276,25 +286,23 @@ def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
 
 
 def _sensitivity(bp: BarrierProblem, sol: BarrierSolution):
-    """(solve, X) for the Jacobian system M X = G H^{-1} F^T - P.
+    """(solve, J): A^{-1} through the Cholesky factor L of the Newton matrix A,
+    positive definite whenever all residuals are positive, and the Jacobian.
 
-    M = G H^{-1} G^T + eta^{-1} Phi^2 with Phi = Diag(phi) at the solution
-    is positive definite whenever all residuals are positive, and ``solve``
-    applies M^{-1} through its Cholesky factor L; (max L_ii / min L_ii)^2,
-    a lower bound on its condition number, above 1e14 (or a failed
-    factorization) draws a warning.
+    (max L_ii / min L_ii)^2, a lower bound on cond(A), above 1e14 (or a
+    failed factorization) draws a warning.
     """
     qp = bp.qp
-    phi = np.asarray(sol.phi, dtype=float)
-    if np.any(phi <= 0):
+    if np.any(sol.phi <= 0):
         raise ValueError("barrier derivatives require strictly positive residuals")
-    M = qp.G @ qp.Hinv_GT + np.diag(phi ** 2 / bp.eta)
+    r = 1.0 / sol.phi
+    A = _newton_matrix(qp.H, bp.eta, qp.G, r)
     try:
-        L = np.linalg.cholesky(M)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         warnings.warn("barrier Jacobian system is not numerically positive definite",
                       RuntimeWarning)
-        solve = partial(np.linalg.solve, M)
+        solve = partial(np.linalg.solve, A)
     else:
         diag = np.diag(L)
         cond_lb = float((diag.max() / diag.min()) ** 2)
@@ -302,18 +310,13 @@ def _sensitivity(bp: BarrierProblem, sol: BarrierSolution):
             warnings.warn(f"barrier Jacobian system is ill-conditioned (cond >= {cond_lb:.2e})",
                           RuntimeWarning)
         solve = partial(cho_solve, (L, True))
-    return solve, solve(qp.G @ qp.Hinv_FT - qp.P)
+    return solve, solve(qp.F.T + bp.eta * qp.G.T @ ((r ** 2)[:, None] * qp.P))
 
 
 def barrier_jacobian(bp: BarrierProblem, sol: BarrierSolution) -> np.ndarray:
-    """Closed-form sensitivity of the barrier minimizer to the state.
-
-    du_eta/dx0 = H^{-1} [F^T - G^T X] with X = M^{-1} (G H^{-1} F^T - P)
-    and M = G H^{-1} G^T + eta^{-1} Phi^2 (see ``_sensitivity``).
-    """
-    qp = bp.qp
-    _, X = _sensitivity(bp, sol)
-    return np.linalg.solve(qp.H, qp.F.T - qp.G.T @ X)
+    """Closed-form sensitivity du_eta/dx0 = A^{-1} (F^T + eta G^T Phi^{-2} P)
+    of the barrier minimizer to the state."""
+    return _sensitivity(bp, sol)[1]
 
 
 @dataclass(frozen=True)
@@ -334,14 +337,12 @@ def convex_combination(bp: BarrierProblem, sol: BarrierSolution) -> ConvexCombin
     computed in log space. Requires m <= MAX_ENUMERATION_M.
     """
     qp = bp.qp
-    phi = np.asarray(sol.phi, dtype=float)
-    gram = qp.G @ qp.Hinv_GT
-    log_c = np.log(phi ** 2 / bp.eta)
+    log_c = np.log(sol.phi ** 2 / bp.eta)
 
     entries = []
     for sigma in enumerate_nonsingular_sigmas(qp):
         s = sigma.sigma
-        sub = gram[np.ix_(s, s)]
+        sub = qp.gram[np.ix_(s, s)]
         logdet = 0.0 if sub.shape[0] == 0 else float(np.linalg.slogdet(sub)[1])
         logh = logdet + float(log_c[~s].sum())
         entries.append((sigma, logh))
@@ -363,21 +364,16 @@ def convex_combination(bp: BarrierProblem, sol: BarrierSolution) -> ConvexCombin
 def barrier_hessian(bp: BarrierProblem, sol: BarrierSolution) -> np.ndarray:
     """State Hessian of the solution map at ``sol``, shape (n, d_x, d_x).
 
-    Differentiates the closed-form Jacobian: since M X = G H^{-1} F^T - P,
-    the residuals move as dphi/dx0 = P - G J = -Phi^2 X / eta, so
-
-        T[:, j, k] = -(2 / eta^2) H^{-1} G^T M^{-1} Diag(phi^3) (X[:, j] * X[:, k]),
-
-    one more solve with the Jacobian's factor of M. T is symmetric in its
-    two state slots by construction.
+    T[:, j, k] = -2 eta A^{-1} G^T Phi^{-3} (dphi_j * dphi_k) with
+    dphi = P - G J: one more solve with the Jacobian's factor of A. T is
+    symmetric in its two state slots by construction.
     """
     qp = bp.qp
-    solve, X = _sensitivity(bp, sol)
-    phi = np.asarray(sol.phi, dtype=float)
-    d_x = qp.d_x
-    rhs = (phi ** 3)[:, None, None] * (X[:, :, None] * X[:, None, :])
-    Z = solve(rhs.reshape(qp.m, d_x * d_x)).reshape(qp.m, d_x, d_x)
-    return (-2.0 / bp.eta ** 2) * np.einsum("im,mjk->ijk", qp.Hinv_GT, Z)
+    solve, J = _sensitivity(bp, sol)
+    dphi = qp.P - qp.G @ J
+    rhs = (sol.phi ** -3)[:, None, None] * (dphi[:, :, None] * dphi[:, None, :])
+    Z = solve(qp.G.T @ rhs.reshape(qp.m, -1))
+    return (-2.0 * bp.eta) * Z.reshape(qp.n, qp.d_x, qp.d_x)
 
 
 def _slice_norms(T: np.ndarray, thetas: np.ndarray) -> np.ndarray:

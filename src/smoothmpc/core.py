@@ -242,16 +242,17 @@ class CondensedQP:
     @cached_property
     def Hinv_GT(self) -> np.ndarray:
         """H^{-1} G^T, solved once per program (read-only)."""
-        out = np.linalg.solve(self.H, self.G.T)
-        out.setflags(write=False)
-        return out
+        return _freeze(np.linalg.solve(self.H, self.G.T))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G H^{-1} G^T, formed once per program (read-only)."""
+        return _freeze(self.G @ self.Hinv_GT)
 
     @cached_property
     def Hinv_FT(self) -> np.ndarray:
         """H^{-1} F^T, the unconstrained gain, solved once per program (read-only)."""
-        out = np.linalg.solve(self.H, self.F.T)
-        out.setflags(write=False)
-        return out
+        return _freeze(np.linalg.solve(self.H, self.F.T))
 
     def bounds_rhs(self, x0: np.ndarray) -> np.ndarray:
         """Right-hand side w + P x0 of the input-sequence polytope."""

@@ -148,13 +148,12 @@ def gain_for_sigma(qp: CondensedQP, sigma: ActiveSet | np.ndarray,
     if sigma.popcount > qp.n:
         raise DegenerateActiveSetError(
             f"active set of size {sigma.popcount} exceeds the {qp.n} inputs")
-    gram = qp.G @ qp.Hinv_GT
     if pseudo:
-        Minv = padded_pinv(gram, sigma.sigma)
+        Minv = padded_pinv(qp.gram, sigma.sigma)
     else:
-        if is_singular_submatrix(gram, sigma.sigma):
+        if is_singular_submatrix(qp.gram, sigma.sigma):
             raise DegenerateActiveSetError("singular principal submatrix for sigma")
-        Minv = padded_inverse(gram, sigma.sigma)
+        Minv = padded_inverse(qp.gram, sigma.sigma)
     GHF = qp.G @ qp.Hinv_FT
     K = np.linalg.solve(qp.H, qp.F.T - qp.G.T @ (Minv @ (GHF - qp.P)))
     k = np.linalg.solve(qp.H, qp.G.T @ (Minv @ qp.w))
@@ -190,10 +189,8 @@ def _region_data(qp: CondensedQP, piece: AffinePiece) -> _PieceRegion:
     primal_v = qp.w - qp.G @ piece.k
     s = piece.sigma.sigma
     if s.any():
-        Gs = qp.G[s]
-        Ms = Gs @ np.linalg.solve(qp.H, Gs.T)
-        GHF_s = Gs @ np.linalg.solve(qp.H, qp.F.T)
-        dual_M = np.linalg.solve(Ms, GHF_s - qp.P[s])
+        Ms = qp.gram[np.ix_(s, s)]
+        dual_M = np.linalg.solve(Ms, (qp.G @ qp.Hinv_FT)[s] - qp.P[s])
         dual_v = -np.linalg.solve(Ms, qp.w[s])
     else:
         dual_M = np.zeros((0, qp.d_x))
@@ -411,9 +408,10 @@ class PieceTableEvaluator:
     primal/dual test it passes. A uniform bucket grid over the discovery
     box lists, per bucket, the regions that can hold a state there (a
     superset, so the first match is the same as a scan over every
-    region); states outside the box or not finite are tested against
-    every region. Unmatched states (outside every discovered region, or
-    infeasible) fall back to a per-point QP solve or NaN.
+    region); states outside the box are tested against every region.
+    Unmatched states (outside every discovered region, or infeasible)
+    fall back to a per-point QP solve or NaN; states that are not finite
+    get NaN without a test.
     """
 
     def __init__(self, qp: CondensedQP, collection: PieceCollection):
@@ -440,11 +438,11 @@ class PieceTableEvaluator:
         return cells
 
     def _locate(self, X: np.ndarray) -> np.ndarray:
-        """Occupancy-order index of the first region holding each row; -1 for none."""
+        """Occupancy-order index of the first region holding each finite row; -1 for none."""
         which = np.full(X.shape[0], -1, dtype=np.intp)
         cells = self._cells(X)
-        todo = np.arange(X.shape[0])
-        seen = np.bincount(cells, minlength=self._candidates.shape[1]) > 0
+        todo = np.flatnonzero(np.all(np.isfinite(X), axis=1))
+        seen = np.bincount(cells[todo], minlength=self._candidates.shape[1]) > 0
         for r in np.flatnonzero(self._candidates[:, seen].any(axis=1)):
             test = todo[self._candidates[r, cells[todo]]]
             if test.size == 0:
@@ -460,7 +458,7 @@ class PieceTableEvaluator:
     def eval_batch(self, X: np.ndarray, fallback: str = "qp") -> np.ndarray:
         """First-input controls for a batch of states, shape (N, d_u).
 
-        ``fallback``: "qp" solves unmatched points exactly, "nan" marks them.
+        ``fallback``: "qp" solves unmatched finite points exactly, "nan" marks them.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full((X.shape[0], self.qp.d_u), np.nan)
@@ -471,7 +469,7 @@ class PieceTableEvaluator:
             U = X[hit] @ piece.K.T + piece.k
             out[hit] = U[:, : self.qp.d_u]
         if fallback == "qp":
-            for i in np.flatnonzero(which < 0):
+            for i in np.flatnonzero((which < 0) & np.all(np.isfinite(X), axis=1)):
                 try:
                     out[i] = solve_qp(self.qp, X[i]).u_star[: self.qp.d_u]
                 except InfeasibleError:
@@ -479,7 +477,10 @@ class PieceTableEvaluator:
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        u = self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"state {x} is not finite")
+        u = self.eval_batch(x[None, :])[0]
         if np.any(np.isnan(u)):
             raise InfeasibleError("state outside the feasible set")
         return u
@@ -508,12 +509,11 @@ def enumerate_nonsingular_sigmas(qp: CondensedQP):
 
     if qp.m > MAX_ENUMERATION_M:
         raise ValueError(f"refusing to enumerate 2^{qp.m} active sets")
-    gram = qp.G @ qp.Hinv_GT
     out = []
     for s in all_sigmas(qp.m):
         if int(s.sum()) > qp.n:
             continue
-        if not is_singular_submatrix(gram, s):
+        if not is_singular_submatrix(qp.gram, s):
             out.append(ActiveSet(s))
     return out
 
@@ -529,9 +529,8 @@ def max_gain_norm(qp: CondensedQP, sigmas) -> float:
 
 def c_constant(qp: CondensedQP, sigmas) -> float:
     """max over sigma of ||2 H^{-1} G^T (G H^{-1} G^T)_sigma^+||."""
-    gram = qp.G @ qp.Hinv_GT
     best = 0.0
     for s in sigmas:
         sig = s.sigma if isinstance(s, ActiveSet) else np.asarray(s, dtype=bool)
-        best = max(best, float(np.linalg.norm(2.0 * qp.Hinv_GT @ padded_pinv(gram, sig), 2)))
+        best = max(best, float(np.linalg.norm(2.0 * qp.Hinv_GT @ padded_pinv(qp.gram, sig), 2)))
     return best

@@ -1,5 +1,6 @@
 """Barrier solver, closed-form Jacobian, convex combination, solution Hessian."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,9 +22,11 @@ from smoothmpc.core import (
     build_condensed,
     clip_problem,
     double_integrator_problem,
+    feasible_radii,
 )
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.explicit import solve_qp
+from smoothmpc.qp import chebyshev_center
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +37,6 @@ def di_qp():
 
 @pytest.fixture(scope="module")
 def di_radius(di_qp):
-    from smoothmpc.core import feasible_radii
-
     return feasible_radii(di_qp, np.zeros(2)).R
 
 
@@ -159,16 +160,109 @@ def test_infeasible_state_certificate_has_length_m(di_qp, di_radius, x0):
     assert y @ di_qp.bounds_rhs(x0) < 0
 
 
+def m_space_jacobian(qp, eta, phi):
+    """The Jacobian in the constraint space, as the paper states it:
+    H^{-1} [F^T - G^T M^{-1} (G H^{-1} F^T - P)] with M = G H^{-1} G^T + Phi^2 / eta.
+    The oracle of the input-space form ``barrier_jacobian`` computes."""
+    M = qp.G @ np.linalg.solve(qp.H, qp.G.T) + np.diag(phi ** 2 / eta)
+    GHF = qp.G @ np.linalg.solve(qp.H, qp.F.T)
+    return np.linalg.solve(qp.H, qp.F.T - qp.G.T @ np.linalg.solve(M, GHF - qp.P))
+
+
+def mp_jacobian(bp, x0, u):
+    """A^{-1} (F^T + eta G^T Phi^{-2} P), A = H + eta G^T Phi^{-2} G, in 50-digit
+    arithmetic, with phi = w + P x0 - G u formed from the exact binary values
+    of the program, x0 and u (no cancellation error in phi)."""
+    qp = bp.qp
+    with mpmath.workdps(50):
+        H, F, G, P = (mpmath.matrix(a.tolist()) for a in (qp.H, qp.F, qp.G, qp.P))
+        phi = (mpmath.matrix(qp.w.tolist()) + P * mpmath.matrix(x0.tolist())
+               - G * mpmath.matrix(u.tolist()))
+        W = mpmath.diag([mpmath.mpf(bp.eta) / p ** 2 for p in phi])
+        J = mpmath.inverse(H + G.T * W * G) * (F.T + G.T * W * P)
+        return np.array(J.tolist(), dtype=float)
+
+
 def test_jacobian_formula_at_origin(di_qp, di_radius):
     # u_eta(0) = 0 makes phi = w exactly, for every eta
     for eta in (1e-3, 1.0, 1e3):
         bp = make_barrier_problem(di_qp, eta=eta, outer_radius=di_radius)
         sol = solve_barrier(bp, np.zeros(2))
         J = barrier_jacobian(bp, sol)
-        M = di_qp.G @ np.linalg.solve(di_qp.H, di_qp.G.T) + np.diag(di_qp.w ** 2 / eta)
-        GHF = di_qp.G @ np.linalg.solve(di_qp.H, di_qp.F.T)
-        J_direct = np.linalg.solve(di_qp.H, di_qp.F.T - di_qp.G.T @ np.linalg.solve(M, GHF - di_qp.P))
+        J_direct = m_space_jacobian(di_qp, eta, di_qp.w)
         assert np.abs(J - J_direct).max() <= 1e-10 * max(1.0, np.abs(J_direct).max())
+
+
+def test_jacobian_matches_m_space_formula_at_interior_states(di_qp, di_radius):
+    from test_warm_start import random_system
+
+    rng = np.random.default_rng(5)
+    cases = [(di_qp, di_radius, rng.uniform(-4, 4, size=2)) for _ in range(10)]
+    while len(cases) < 20:
+        _, qp = random_system(rng)
+        cases.append((qp, 1.0, rng.uniform(-0.5, 0.5, size=qp.d_x)))
+    done = 0
+    for qp, radius, x0 in cases:
+        bp = make_barrier_problem(qp, float(10.0 ** rng.uniform(-3, 1)), outer_radius=radius)
+        try:
+            sol = solve_barrier(bp, x0)
+        except InfeasibleError:
+            continue
+        if sol.phi.min() < 1e-2:
+            continue
+        J_m = m_space_jacobian(qp, bp.eta, sol.phi)
+        assert np.abs(barrier_jacobian(bp, sol) - J_m).max() <= 1e-10 * np.abs(J_m).max()
+        done += 1
+    assert done >= 10
+
+
+def feasible(qp, x0):
+    """Does the input polytope at x0 have an interior?"""
+    try:
+        return chebyshev_center(qp.G, qp.bounds_rhs(x0))[1] > 0
+    except InfeasibleError:
+        return False
+
+
+def boundary_state(qp, direction, inset):
+    """The point ``inset`` inside the feasibility boundary along the unit
+    ``direction``, located by bisection."""
+    lo, hi = 0.0, 1.0
+    while feasible(qp, hi * direction):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(qp, mid * direction) else (lo, mid)
+    return (lo - inset) * direction
+
+
+def assert_jacobian_matches_mp(bp, x0):
+    sol = solve_barrier(bp, x0)
+    J_ref = mp_jacobian(bp, x0, sol.u_eta)
+    assert np.abs(barrier_jacobian(bp, sol) - J_ref).max() <= 1e-8 * np.abs(J_ref).max()
+    return sol
+
+
+def test_jacobian_matches_mp_reference_at_feasibility_boundary(di_qp, di_radius):
+    x0 = np.array([-12.39996, 6.19998])
+    for eta in (1e-3, 1e-2, 0.1, 1.0):
+        sol = assert_jacobian_matches_mp(
+            make_barrier_problem(di_qp, eta=eta, outer_radius=di_radius), x0)
+        assert sol.phi.min() < 3e-6
+
+
+def test_jacobian_matches_mp_reference_at_boundary_of_random_systems():
+    from test_warm_start import random_system
+
+    rng = np.random.default_rng(3)
+    etas = (1e-3, 1e-2, 0.1, 1.0)
+    for i in range(8):
+        _, qp = random_system(rng)
+        direction = rng.standard_normal(qp.d_x)
+        x0 = boundary_state(qp, direction / np.linalg.norm(direction), 1e-5)
+        bp = make_barrier_problem(qp, etas[i % 4], outer_radius=1.0)
+        sol = assert_jacobian_matches_mp(bp, x0)
+        assert sol.phi.min() < 1e-3
 
 
 def test_jacobian_limit_small_eta_is_unconstrained_gain(di_qp, di_radius):
@@ -312,26 +406,11 @@ def test_hessian_matches_richardson_oracle_on_clip(clip_qp):
 
 
 def test_hessian_matches_richardson_oracle_near_feasibility_boundary(di_qp, di_radius):
-    from smoothmpc.core import feasible_radii
-
-    def feasible(x):
-        try:
-            return feasible_radii(di_qp, x).r > 0
-        except InfeasibleError:
-            return False
-
-    direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    lo, hi = 0.0, 20.0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if feasible(mid * direction) else (lo, mid)
-    x0 = (lo - 5e-5) * direction
+    x0 = boundary_state(di_qp, np.array([1.0, 1.0]) / np.sqrt(2.0), 5e-5)
     # a coordinate step of 1e-5 (1 + ||x0||) leaves the feasible set here
     h_old = 1e-5 * (1.0 + np.linalg.norm(x0))
-    assert not all(feasible(x0 + s * h_old * e) for e in np.eye(2) for s in (1.0, -1.0))
-    # at larger eta the Jacobian system is too ill-conditioned this close
-    # to the boundary for any difference quotient to resolve 1e-6
-    for eta in (1e-3, 1e-2):
+    assert not all(feasible(di_qp, x0 + s * h_old * e) for e in np.eye(2) for s in (1.0, -1.0))
+    for eta in (1e-3, 1e-2, 0.1, 1.0):
         bp = make_barrier_problem(di_qp, eta=eta, outer_radius=di_radius)
         assert_hessian_matches_oracle(bp, x0, 1e-6)
 

@@ -1,5 +1,7 @@
 """Hard-constrained QP solutions, active-set gains, and piece discovery."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,8 +313,28 @@ def test_bucketed_table_matches_scan_double_integrator(di_table):
                         np.arange(0, grid.shape[0], 7))
     with pytest.raises(ValueError):
         _scan_oracle(table, np.array([[np.nan, 0.0]]), "qp")
-    with pytest.raises(ValueError):
-        table.eval_batch(np.array([[np.nan, 0.0]]), fallback="qp")
+    assert np.isnan(table.eval_batch(np.array([[np.nan, 0.0]]), fallback="qp")).all()
+
+
+def test_non_finite_states_are_never_tested_or_solved(di_table, monkeypatch):
+    _, table = di_table
+    bad = np.array([[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0], [np.inf, -np.inf]])
+    X = np.vstack([bad, [[1.0, -0.5]]])
+    tested = []
+    real = smoothmpc.explicit._region_mask
+    monkeypatch.setattr(smoothmpc.explicit, "_region_mask",
+                        lambda region, Y, tol: tested.append(Y) or real(region, Y, tol))
+    monkeypatch.setattr(smoothmpc.explicit, "solve_qp",
+                        lambda *a, **k: pytest.fail("a non-finite state reached solve_qp"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fallback in ("qp", "nan"):
+            U = table.eval_batch(X, fallback=fallback)
+            assert np.isnan(U[:4]).all() and np.isfinite(U[4]).all()
+    assert all(np.isfinite(Y).all() for Y in tested)
+    for x in bad:
+        with pytest.raises(ValueError, match="not finite"):
+            table(x)
 
 
 @pytest.mark.parametrize("shift", [0.0, 2e-10])
