@@ -108,7 +108,7 @@ class BarrierSolution:
 
     ``phi`` holds all m residuals (positive, including rows of G that are
     identically zero). ``decrements`` is the Newton-decrement history of
-    the main phase.
+    the solve.
     """
 
     u_eta: np.ndarray
@@ -149,6 +149,8 @@ def _objective(H, f, d, eta, G, b):
         0.5 u^T H u - f^T u + eta * (d^T u - sum_i log(b - G u)_i),
 
     with phi_of(u) = b - G u the residuals, in the argument order of ``_newton``.
+    It is the objective of both Newton solves: ``solve_barrier`` and the
+    quad-opt oracle ``bounds.newton_log_barrier``.
     """
 
     def phi_of(u):
@@ -226,11 +228,10 @@ def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
     Newton starts from the first strictly feasible of ``warm`` (an input
     sequence, typically the solution at a nearby state or eta), ``warm``
     shifted by one input block, and u = 0, the exact minimizer at x0 = 0.
-    When none is, the start is a phase-I damped Newton on the pure
-    recentered barrier from the Chebyshev center (guaranteeing strict
-    feasibility independent of eta). Raises InfeasibleError when no
-    strict interior exists and NewtonConvergenceError when 200 iterations
-    do not reach tolerance.
+    When none is, it starts from the Chebyshev center of the input
+    polytope, strictly feasible independent of eta. Raises
+    InfeasibleError when no strict interior exists and
+    NewtonConvergenceError when 200 iterations do not reach tolerance.
     """
     qp = bp.qp
     eta = bp.eta
@@ -261,9 +262,7 @@ def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
         starts = [warm, np.concatenate([warm[qp.d_u:], zero[: qp.d_u]]), zero]
     u = next((s for s in starts if np.min(phi_of(s), initial=np.inf) > 0), None)
     if u is None:
-        # phase I: approach the analytic center of the recentered barrier
-        phase1 = _objective(np.zeros((qp.n, qp.n)), zero, bp.d, 1.0, G, ba)
-        u, _, _ = _newton(_strict_start(G, ba, active), *phase1, max_iter=30, tol=1e-8)
+        u = _strict_start(G, ba, active)
 
     decs: list = []
     u, gnorm, iters = _newton(u, value, grad, hess, phi_of, max_iter=MAX_NEWTON_ITERS,

@@ -39,7 +39,7 @@ from .errors import InfeasibleError
 from .explicit import PieceTableEvaluator, c_constant, discover_pieces, max_gain_norm, state_grid
 from .mlp import TrainConfig, train_imitator
 from .qp import support
-from .simulate import ImitationDataset, imitation_error, rollout, sample_dataset
+from .simulate import imitation_error, sample_dataset
 from .smoothing import RandomizedPolicy, SmoothingConfig
 
 __all__ = [
@@ -187,9 +187,8 @@ class Workbench:
         return BarrierExpert(make_barrier_problem(self.qp, eta, outer_radius=self.outer_radius))
 
     def randomized_expert(self, sigma: float, n_samples: int = 1500,
-                          seed: int = 0, distribution: str = "gaussian") -> RandomizedPolicy:
-        cfg = SmoothingConfig(sigma=sigma, distribution=distribution,
-                              n_samples=n_samples, seed=seed)
+                          seed: int = 0) -> RandomizedPolicy:
+        cfg = SmoothingConfig(sigma=sigma, n_samples=n_samples, seed=seed)
         return RandomizedPolicy(self.table, cfg, projector=self.projector)
 
     def sample_initial_states(self, n: int, seed: int) -> np.ndarray:
@@ -285,8 +284,13 @@ def expert_smoothness(jac_fn, feature_scale: float) -> dict:
 
 
 def _sup_error(policy, reference, pts: np.ndarray) -> float:
+    """Largest control distance to the piece table over the states both evaluate.
+
+    The table is asked for its exact law, so a state outside every
+    discovered region is compared against its per-point QP solution.
+    """
     a = policy.eval_batch(pts)
-    b = reference.eval_batch(pts)
+    b = reference.eval_batch(pts, fallback="qp")
     ok = ~(np.any(np.isnan(a), axis=1) | np.any(np.isnan(b), axis=1))
     if not ok.any():
         raise ValueError(f"none of the {pts.shape[0]} states evaluated on both policies")
@@ -359,12 +363,7 @@ class _SmoothnessTask:
             met = expert_smoothness(lambda x: expert.jacobian(x, h=h_fd),
                                     feature_scale=param)
             hess = float("nan")
-            from .smoothing import draw_noise
-
-            rng = np.random.default_rng(self.seed)
-            W = draw_noise(expert.cfg.distribution, expert.cfg.n_samples, pts.shape[1], rng)
-            samples = (pts[:, None, :] + param * W[None, :, :]).reshape(-1, pts.shape[1])
-            projected = float(1.0 - bench.projector.inside(samples).mean())
+            projected = float(1.0 - bench.projector.inside(expert.samples(pts)).mean())
         return {"kind": kind, "param": param, "L0_max": met["L0_max"],
                 "L1_max": met["L1_max"], "sup_error": _sup_error(expert, bench.table, pts),
                 "hessian_norm": hess, "projected_fraction": projected}

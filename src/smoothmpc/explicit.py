@@ -10,11 +10,11 @@ piece count.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CondensedQP, residuals
+from .core import CondensedQP
 from .errors import DegenerateActiveSetError, InfeasibleError
 from .matrixops import is_singular_submatrix, padded_inverse, padded_pinv
 from .qp import raw_solve_qp
@@ -181,7 +181,6 @@ class _PieceRegion:
     primal_v: np.ndarray
     dual_M: np.ndarray    # lambda(x) = dual_M x + dual_v >= 0 on the region
     dual_v: np.ndarray
-    occupancy: int = 0
 
 
 def _region_data(qp: CondensedQP, piece: AffinePiece) -> _PieceRegion:
@@ -279,7 +278,6 @@ def discover_pieces(qp: CondensedQP, grid: np.ndarray, method: str = "assign") -
     status = np.zeros(N, dtype=np.int8)  # 0 unassigned, 1 assigned, -1 infeasible
     tol_scale = ACTIVE_TOL * (1.0 + np.abs(qp.w))
     sigma_pieces: dict = {}
-    regions: list = []
 
     cursor = 0
     while True:
@@ -308,7 +306,6 @@ def discover_pieces(qp: CondensedQP, grid: np.ndarray, method: str = "assign") -
             piece = gain_for_sigma(qp, sol.sigma)
             sigma_pieces[key] = [piece, 0]
             region = _region_data(qp, piece)
-            regions.append((key, region))
             todo = status == 0
             mask = _region_mask(region, grid[todo], tol_scale)
             hit = np.flatnonzero(todo)[mask]
@@ -401,6 +398,13 @@ def _bucket_candidates(regions: list, lo: np.ndarray, width: np.ndarray, n: int,
     return cand
 
 
+def _finite_state(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"state {x} is not finite")
+    return x
+
+
 class PieceTableEvaluator:
     """Fast batched evaluation of the explicit law through a piece table.
 
@@ -409,9 +413,9 @@ class PieceTableEvaluator:
     box lists, per bucket, the regions that can hold a state there (a
     superset, so the first match is the same as a scan over every
     region); states outside the box are tested against every region.
-    Unmatched states (outside every discovered region, or infeasible)
-    fall back to a per-point QP solve or NaN; states that are not finite
-    get NaN without a test.
+    Unmatched states (outside every discovered region, or infeasible) get
+    NaN, or on request the per-point QP solution; states that are not
+    finite get NaN without a test.
     """
 
     def __init__(self, qp: CondensedQP, collection: PieceCollection):
@@ -455,10 +459,10 @@ class PieceTableEvaluator:
                     break
         return which
 
-    def eval_batch(self, X: np.ndarray, fallback: str = "qp") -> np.ndarray:
+    def eval_batch(self, X: np.ndarray, fallback: str = "nan") -> np.ndarray:
         """First-input controls for a batch of states, shape (N, d_u).
 
-        ``fallback``: "qp" solves unmatched finite points exactly, "nan" marks them.
+        ``fallback``: "nan" marks unmatched points, "qp" solves the finite ones exactly.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full((X.shape[0], self.qp.d_u), np.nan)
@@ -477,10 +481,9 @@ class PieceTableEvaluator:
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"state {x} is not finite")
-        u = self.eval_batch(x[None, :])[0]
+        """The exact law at x: the table's piece, else the per-point QP."""
+        x = _finite_state(x)
+        u = self.eval_batch(x[None, :], fallback="qp")[0]
         if np.any(np.isnan(u)):
             raise InfeasibleError("state outside the feasible set")
         return u
@@ -496,9 +499,10 @@ class PieceTableEvaluator:
         At region boundaries this returns the first matching piece's gain;
         the law is not differentiable there.
         """
+        x = _finite_state(x)
         piece = self.piece_at(x)
         if piece is None:
-            sol = solve_qp(self.qp, np.asarray(x, dtype=float))
+            sol = solve_qp(self.qp, x)
             piece = gain_for_sigma(self.qp, sol.sigma)
         return piece.K[: self.qp.d_u]
 

@@ -10,7 +10,7 @@ gradient every parameter contracts by exactly (1 - lr * wd) per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf

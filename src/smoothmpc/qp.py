@@ -138,13 +138,11 @@ def raw_solve_qp(
             z = chebyshev_center(G, b)[0]
         except UnboundedError:
             z = support(G, b, np.zeros(n))[0]
-    # clip tiny phase-1 violations back onto the feasible side
-    viol = G @ z - b
-    if viol.max(initial=-np.inf) > 0:
-        worst = viol.max()
-        if worst > 1e-7 * scale_b.max():
-            raise InfeasibleError("phase-1 produced an infeasible start",
-                                  certificate=partial(farkas_certificate, G, b))
+    # the LP start may violate rows by its own tolerance: raise above 1e-7
+    # of the scale, and otherwise start the active-set method from it
+    if (G @ z - b).max(initial=-np.inf) > 1e-7 * scale_b.max():
+        raise InfeasibleError("phase-1 produced an infeasible start",
+                              certificate=partial(farkas_certificate, G, b))
 
     work = np.zeros(m, dtype=bool)
     if max_iter is None:

@@ -9,7 +9,6 @@ finite-difference gradients of the smoothed policy low-variance.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ from .errors import ResolutionError, SmoothingFailureError
 __all__ = [
     "SmoothingConfig",
     "draw_noise",
-    "RSEvaluation",
     "pi_rs",
     "RandomizedPolicy",
     "tradeoff_audit",
@@ -62,75 +60,20 @@ def draw_noise(distribution: str, n: int, dim: int, rng: np.random.Generator) ->
     raise ValueError(f"unknown distribution {distribution!r}")
 
 
-@dataclass(frozen=True)
-class RSEvaluation:
-    """Monte-Carlo smoothed control with its standard-error estimate."""
-
-    u: np.ndarray
-    stderr: np.ndarray
-    projected_fraction: float
-    failed_fraction: float
-
-
-def _evaluate_samples(policy, X: np.ndarray) -> np.ndarray:
-    """Policy values row-wise; NaN rows mark failed evaluations.
-
-    A batch evaluator that takes ``fallback`` is asked for NaN rows in
-    place of its own fallback path.
-    """
-    batch = getattr(policy, "eval_batch", None)
-    if batch is not None:
-        if "fallback" in inspect.signature(batch).parameters:
-            return np.atleast_2d(batch(X, fallback="nan"))
-        return np.atleast_2d(batch(X))
-    rows = []
-    for x in X:
-        try:
-            rows.append(np.atleast_1d(policy(x)))
-        except Exception:
-            rows.append(None)
-    width = next((r.shape[0] for r in rows if r is not None), 1)
-    out = np.full((X.shape[0], width), np.nan)
-    for i, r in enumerate(rows):
-        if r is not None:
-            out[i] = r
-    return out
-
-
-def pi_rs(policy, cfg: SmoothingConfig, x: np.ndarray, projector=None) -> RSEvaluation:
-    """Monte-Carlo average of the policy over noise around x.
-
-    Samples landing outside the feasible state set are Euclidean-projected
-    back by ``projector`` before evaluation (the fraction projected is
-    reported). Raises SmoothingFailureError if more than half the samples
-    fail to evaluate.
-    """
+def pi_rs(policy, cfg: SmoothingConfig, x: np.ndarray, projector=None) -> np.ndarray:
+    """Smoothed control at one state: one row of ``RandomizedPolicy.eval_batch``."""
     x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(cfg.seed)
-    W = draw_noise(cfg.distribution, cfg.n_samples, x.shape[0], rng)
-    X = x[None, :] + cfg.sigma * W
-    projected = 0
-    if projector is not None:
-        Xp = projector(X)
-        projected = int(np.sum(np.linalg.norm(Xp - X, axis=1) > 1e-12 * (1 + cfg.sigma)))
-        X = Xp
-    vals = _evaluate_samples(policy, X)
-    ok = ~np.any(np.isnan(vals), axis=1)
-    failed = 1.0 - ok.mean()
-    if failed > MAX_FAILED_FRACTION:
-        raise SmoothingFailureError(
-            f"{failed:.0%} of smoothing samples failed to evaluate")
-    good = vals[ok]
-    u = good.mean(axis=0)
-    stderr = good.std(axis=0, ddof=1) / np.sqrt(good.shape[0]) if good.shape[0] > 1 \
-        else np.zeros(vals.shape[1])
-    return RSEvaluation(u=u, stderr=stderr,
-                        projected_fraction=projected / cfg.n_samples,
-                        failed_fraction=float(failed))
+    return RandomizedPolicy(policy, cfg, projector=projector).eval_batch(x[None, :])[0]
 
 
 class RandomizedPolicy:
-    """Callable smoothed policy with common-random-number derivatives."""
+    """Callable smoothed policy with common-random-number derivatives.
+
+    The base policy is a batch evaluator: ``base.eval_batch(X)`` gives one
+    row per state, NaN where it has no value. Samples landing outside the
+    feasible state set are Euclidean-projected back by ``projector``
+    before evaluation.
+    """
 
     def __init__(self, base_policy, cfg: SmoothingConfig, projector=None):
         self.base = base_policy
@@ -138,7 +81,18 @@ class RandomizedPolicy:
         self.projector = projector
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return pi_rs(self.base, self.cfg, x, projector=self.projector).u
+        return pi_rs(self.base, self.cfg, x, projector=self.projector)
+
+    def samples(self, X: np.ndarray) -> np.ndarray:
+        """Unprojected noisy states, n_samples per row of X, state by state.
+
+        Every state gets the same draws from the configured seed.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        d = X.shape[1]
+        rng = np.random.default_rng(self.cfg.seed)
+        W = draw_noise(self.cfg.distribution, self.cfg.n_samples, d, rng)
+        return (X[:, None, :] + self.cfg.sigma * W[None, :, :]).reshape(-1, d)
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Smoothed controls for a batch of states sharing one set of draws.
@@ -148,13 +102,10 @@ class RandomizedPolicy:
         left out of its mean.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        B, d = X.shape
-        rng = np.random.default_rng(self.cfg.seed)
-        W = draw_noise(self.cfg.distribution, self.cfg.n_samples, d, rng)
-        pts = (X[:, None, :] + self.cfg.sigma * W[None, :, :]).reshape(-1, d)
+        pts = self.samples(X)
         if self.projector is not None:
             pts = self.projector(pts)
-        vals = _evaluate_samples(self.base, pts).reshape(B, self.cfg.n_samples, -1)
+        vals = self.base.eval_batch(pts).reshape(X.shape[0], self.cfg.n_samples, -1)
         failed = np.any(np.isnan(vals), axis=2).mean(axis=1)
         worst = int(np.argmax(failed))
         if failed[worst] > MAX_FAILED_FRACTION:

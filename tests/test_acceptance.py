@@ -251,7 +251,7 @@ def test_criterion_8_smoothing_trends(sweep_rows):
             return np.clip(K0 * np.atleast_2d(X)[:, :1], -1, 1)
 
     cfg = SmoothingConfig(sigma=100.0, distribution="gaussian", n_samples=100_000, seed=0)
-    flat = max(abs(pi_rs(Clip1D(), cfg, np.array([x])).u[0]) for x in (-3.0, -1.0, 0.5, 2.0))
+    flat = max(abs(pi_rs(Clip1D(), cfg, np.array([x]))[0]) for x in (-3.0, -1.0, 0.5, 2.0))
 
     ok = (abs(slope_err - 1.0) <= 0.15 and abs(slope_l1 + 1.0) <= 0.2
           and mono and flat <= 0.05)

@@ -140,7 +140,7 @@ def test_sup_error_needs_a_state_evaluated_on_both_policies():
         def __init__(self, rows):
             self.rows = rows
 
-        def eval_batch(self, X):
+        def eval_batch(self, X, fallback="nan"):
             out = np.zeros((X.shape[0], 1))
             out[self.rows] = np.nan
             return out

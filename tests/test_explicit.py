@@ -333,8 +333,25 @@ def test_non_finite_states_are_never_tested_or_solved(di_table, monkeypatch):
             assert np.isnan(U[:4]).all() and np.isfinite(U[4]).all()
     assert all(np.isfinite(Y).all() for Y in tested)
     for x in bad:
-        with pytest.raises(ValueError, match="not finite"):
-            table(x)
+        for call in (table, table.jacobian):
+            with pytest.raises(ValueError, match="not finite"):
+                call(x)
+
+
+def test_lookup_default_is_nan_and_call_solves_the_qp(di_qp, di_table):
+    grid, table = di_table
+    X = probe_states(np.random.default_rng(43), table, grid, 500)
+    assert np.array_equal(table.eval_batch(X), table.eval_batch(X, fallback="nan"),
+                          equal_nan=True)
+    # a table of the unconstrained piece alone: a state where the input
+    # saturates is feasible but outside every region
+    lone = PieceTableEvaluator(di_qp, discover_pieces(di_qp, np.zeros((1, 2))))
+    x = np.array([0.0, 3.0])
+    sol = solve_qp(di_qp, x)
+    assert sol.sigma.popcount > 0 and lone.piece_at(x) is None
+    assert np.isnan(lone.eval_batch(x[None, :])).all()
+    assert np.array_equal(lone(x), sol.u_star[:1])
+    assert np.array_equal(lone.jacobian(x), gain_for_sigma(di_qp, sol.sigma).K[:1])
 
 
 @pytest.mark.parametrize("shift", [0.0, 2e-10])

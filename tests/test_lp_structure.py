@@ -92,8 +92,8 @@ def test_only_qp_module_mentions_linprog():
 
 
 def test_log_barrier_objective_is_written_once():
-    # every Newton solve (barrier phase I and main phase, the quad-opt
-    # oracle) builds its objective from barrier._objective
+    # every Newton solve (the barrier solve and the quad-opt oracle)
+    # builds its objective from barrier._objective
     root = pathlib.Path(smoothmpc.__file__).parent
     counts = {p.name: p.read_text().count("np.sum(np.log(") for p in sorted(root.glob("*.py"))}
     assert {name: c for name, c in counts.items() if c} == {"barrier.py": 1}

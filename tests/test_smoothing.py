@@ -16,9 +16,21 @@ from smoothmpc.smoothing import (
 RNG = np.random.default_rng(1)
 
 
-def clip_policy(x):
-    x = np.atleast_1d(x)
-    return np.clip(-2.0 * x, -1.0, 1.0)
+class Clip:
+    """Batch policy u = clip(-2 x, -1, 1) on the first state coordinate."""
+
+    def eval_batch(self, X):
+        return np.clip(-2.0 * X[:, :1], -1.0, 1.0)
+
+
+class Linear:
+    """Batch policy u = K x."""
+
+    def __init__(self, K):
+        self.K = K
+
+    def eval_batch(self, X):
+        return X @ self.K.T
 
 
 def test_noise_families_zero_mean_and_support():
@@ -33,39 +45,36 @@ def test_noise_families_zero_mean_and_support():
 
 
 def test_linear_policy_smoothed_is_identity():
+    # the smoothed linear law is K x plus sigma K times the mean of the draws
     K = np.array([[0.3, -0.7], [1.1, 0.2]])
-
-    def lin(x):
-        return K @ x
-
+    x = np.array([1.0, -2.0])
     for dist in ("gaussian", "uniform-box", "uniform-ball"):
         cfg = SmoothingConfig(sigma=0.5, distribution=dist, n_samples=4000, seed=3)
-        x = np.array([1.0, -2.0])
-        out = pi_rs(lin, cfg, x)
-        assert np.abs(out.u - K @ x).max() <= 3.0 * (out.stderr.max() + 1e-12) + 1e-9
+        W = draw_noise(dist, 4000, 2, np.random.default_rng(3))
+        u = pi_rs(Linear(K), cfg, x)
+        assert u.shape == (2,)
+        assert np.abs(u - (K @ x + 0.5 * K @ W.mean(axis=0))).max() <= 1e-12
 
 
 def test_clip_example_flattens_for_large_sigma():
     cfg = SmoothingConfig(sigma=100.0, distribution="gaussian", n_samples=100_000, seed=0)
     for x in (-3.0, -1.0, 0.0, 1.0, 3.0):
-        out = pi_rs(clip_policy, cfg, np.array([x]))
-        assert abs(out.u[0]) <= 0.05
+        assert abs(pi_rs(Clip(), cfg, np.array([x]))[0]) <= 0.05
 
 
 def test_small_sigma_recovers_base_policy():
     cfg = SmoothingConfig(sigma=1e-4, distribution="gaussian", n_samples=5000, seed=0)
+    W = draw_noise("gaussian", 5000, 1, np.random.default_rng(0))
     for x in (-2.0, -0.3, 0.1, 2.0):
-        out = pi_rs(clip_policy, cfg, np.array([x]))
-        # Lipschitz constant 2 plus Monte-Carlo error
-        assert abs(out.u[0] - clip_policy(np.array([x]))[0]) <= 2 * 1e-4 * 3 + 3 * out.stderr[0]
+        u = pi_rs(Clip(), cfg, np.array([x]))[0]
+        # Lipschitz constant 2 times sigma times the mean draw length
+        assert abs(u - np.clip(-2.0 * x, -1.0, 1.0)) <= 2 * 1e-4 * np.abs(W).mean() + 1e-15
 
 
 def test_determinism_bitwise():
     cfg = SmoothingConfig(sigma=0.7, distribution="uniform-ball", n_samples=500, seed=9)
     x = np.array([0.4])
-    a = pi_rs(clip_policy, cfg, x)
-    b = pi_rs(clip_policy, cfg, x)
-    assert np.array_equal(a.u, b.u) and np.array_equal(a.stderr, b.stderr)
+    assert np.array_equal(pi_rs(Clip(), cfg, x), pi_rs(Clip(), cfg, x))
 
 
 def test_projection_applied_and_reported():
@@ -73,28 +82,29 @@ def test_projection_applied_and_reported():
     def proj(X):
         return np.maximum(X, 0.0)
 
-    def policy(x):
-        if x[0] < -1e-12:
-            raise ValueError("infeasible")
-        return np.atleast_1d(x[0])
+    class Identity:
+        def eval_batch(self, X):
+            return np.where(X[:, :1] < -1e-12, np.nan, X[:, :1])
 
     cfg = SmoothingConfig(sigma=1.0, distribution="gaussian", n_samples=2000, seed=2)
-    out = pi_rs(policy, cfg, np.array([0.5]), projector=proj)
-    assert out.projected_fraction > 0.2
-    assert out.failed_fraction == 0.0
-    # E[max(0.5 + w, 0)] > 0.5 for symmetric noise
-    assert out.u[0] > 0.5
+    x = np.array([0.5])
+    rs = RandomizedPolicy(Identity(), cfg, projector=proj)
+    samples = rs.samples(x)
+    assert np.mean(samples[:, 0] < 0.0) > 0.2
+    u = pi_rs(Identity(), cfg, x, projector=proj)
+    # every projected sample evaluates: E[max(0.5 + w, 0)] > 0.5
+    assert abs(u[0] - np.mean(np.maximum(samples[:, 0], 0.0))) <= 1e-12
+    assert u[0] > 0.5
 
 
 def test_failure_signal_over_half():
-    def flaky(x):
-        if x[0] > 0.0:
-            raise ValueError("off the table")
-        return np.zeros(1)
+    class Flaky:
+        def eval_batch(self, X):
+            return np.where(X[:, :1] > 0.0, np.nan, 0.0)
 
     cfg = SmoothingConfig(sigma=1.0, distribution="gaussian", n_samples=400, seed=4)
     with pytest.raises(SmoothingFailureError):
-        pi_rs(flaky, cfg, np.array([3.0]))
+        pi_rs(Flaky(), cfg, np.array([3.0]))
 
 
 class FailingShare:
@@ -136,29 +146,23 @@ def test_batch_failure_under_half_averages_the_rest():
 
 
 def test_batch_type_error_propagates():
-    class BrokenNanPath:
-        def eval_batch(self, X, fallback="qp"):
-            if fallback == "nan":
-                raise TypeError("nan path failed")
-            return np.zeros((len(X), 1))
-
-    cfg = SmoothingConfig(sigma=1.0, distribution="gaussian", n_samples=10, seed=0)
-    with pytest.raises(TypeError, match="nan path failed"):
-        pi_rs(BrokenNanPath(), cfg, np.array([0.0]))
-
-
-def test_batch_without_fallback_is_called_plainly():
-    class PlainBatch:
+    # a bug in the base policy is raised, never counted as failed samples
+    class Broken:
         def eval_batch(self, X):
-            return np.ones((len(X), 1))
+            if np.any(X[:, 0] > 0.5):
+                raise TypeError("base policy bug")
+            return np.zeros((X.shape[0], 1))
 
-    cfg = SmoothingConfig(sigma=1.0, distribution="gaussian", n_samples=10, seed=0)
-    assert pi_rs(PlainBatch(), cfg, np.array([0.0])).u[0] == 1.0
+    cfg = SmoothingConfig(sigma=1.0, distribution="gaussian", n_samples=1000, seed=0)
+    with pytest.raises(TypeError, match="base policy bug"):
+        pi_rs(Broken(), cfg, np.array([0.0]))
+    with pytest.raises(TypeError, match="base policy bug"):
+        RandomizedPolicy(Broken(), cfg).eval_batch(np.array([[0.0], [1.0]]))
 
 
 def test_randomized_policy_jacobian_crn():
     cfg = SmoothingConfig(sigma=0.3, distribution="gaussian", n_samples=3000, seed=5)
-    rs = RandomizedPolicy(clip_policy, cfg)
+    rs = RandomizedPolicy(Clip(), cfg)
     J = rs.jacobian(np.array([0.0]), h=1e-3)
     # smoothed slope at the center is close to the inner slope -2
     assert -2.05 <= J[0, 0] <= -1.5
