@@ -32,6 +32,7 @@ from .core import (
     stacked_maps,
 )
 from .errors import (
+    ConfigurationError,
     DegenerateActiveSetError,
     InfeasibleError,
     NewtonConvergenceError,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_hash, load_config
-from .errors import InfeasibleError
+from .errors import ConfigurationError, InfeasibleError
 from .mlp import TrainConfig
 
 EXIT_OK = 0
@@ -193,6 +193,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, args.out, seed, args.jobs, args.resolution)
     except InfeasibleError as err:
         print(f"infeasible configuration: {err}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except ConfigurationError as err:
+        print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

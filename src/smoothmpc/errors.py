@@ -58,5 +58,9 @@ class TrainingDivergedError(RuntimeError):
     """Training loss became non-finite."""
 
 
+class ConfigurationError(ValueError):
+    """A valid configuration that a command cannot run, such as a non-planar state."""
+
+
 class ResolutionError(ValueError):
     """Sample grid too coarse to resolve the feature scale requested."""

@@ -35,7 +35,7 @@ from .bounds import (
     residual_lower_bound,
 )
 from .core import CondensedQP, build_condensed, feasible_radii, load_problem
-from .errors import InfeasibleError
+from .errors import ConfigurationError, InfeasibleError
 from .explicit import PieceTableEvaluator, c_constant, discover_pieces, max_gain_norm, state_grid
 from .mlp import TrainConfig, train_imitator
 from .qp import support
@@ -54,7 +54,6 @@ __all__ = [
     "matched_levels",
 ]
 
-POLYGON_DIRECTIONS = 720
 SAMPLE_SHRINK = 0.8
 REFINE_PEAKS = 3
 
@@ -62,18 +61,47 @@ REFINE_PEAKS = 3
 def feasible_polygon(qp: CondensedQP) -> np.ndarray:
     """Vertices (counterclockwise) of the feasible 2-D state set.
 
-    The set {x : exists u with G u <= w + P x} is a polygon; its support
-    points in POLYGON_DIRECTIONS directions are vertices, recovered exactly
-    by a convex hull once every vertex is some direction's argmax.
+    The set {x : exists u with G u <= w + P x} is a polygon, the projection
+    of a polytope in (x, u). Edge refinement by support LPs recovers it
+    (the planar case of Lassez & Lassez's projection by convex hulls):
+    the support points in the directions 0, 2π/3 and 4π/3 form a
+    counterclockwise ring; for each ring edge (a, b) one LP maximizes its
+    outward normal n over the set. A maximum above n·a (by more than
+    1e-9 relative) is a point of the set outside the edge, inserted
+    between a and b; otherwise the edge's line supports the set, so the
+    edge lies on its boundary. Every ring point is in the set and every
+    final edge supports it, so the ring's hull is the set itself, to the
+    1e-9 tolerance. Each inserted point and each final edge costs one LP:
+    2V LPs for V vertices when the three starting points are distinct
+    vertices, one more for each repeated starting point and two more for
+    each point found inside an edge. The convex hull drops such points.
     """
     if qp.d_x != 2:
         raise ValueError("polygon recovery requires a 2-D state")
     G_xu = np.hstack([-qp.P, qp.G])
+    c = np.zeros(2 + qp.n)
+
+    def support_point(direction):
+        c[:2] = direction
+        z, value = support(G_xu, qp.w, c)
+        return z[:2], value
+
+    ring = [support_point((math.cos(th), math.sin(th)))[0]
+            for th in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
+    stack = [(ring[2], ring[0]), (ring[1], ring[2]), (ring[0], ring[1])]
     pts = []
-    for th in np.linspace(0.0, 2.0 * np.pi, POLYGON_DIRECTIONS, endpoint=False):
-        c = np.zeros(2 + qp.n)
-        c[0], c[1] = np.cos(th), np.sin(th)
-        pts.append(support(G_xu, qp.w, c)[0][:2])
+    while stack:
+        a, b = stack.pop()
+        e = b - a
+        length = math.hypot(e[0], e[1])
+        if length > 0.0:
+            n = np.array([e[1], -e[0]]) / length
+            p, value = support_point(n)
+            offset = float(n @ a)
+            if value - offset > 1e-9 * (1.0 + abs(offset)):
+                stack += [(p, b), (a, p)]
+                continue
+        pts.append(a)
     pts = np.array(pts)
     hull = ConvexHull(pts)
     return pts[hull.vertices]
@@ -171,12 +199,15 @@ class Workbench:
     @classmethod
     def from_config(cls, config: dict, resolution: int = 201) -> "Workbench":
         sys_, cost, cons = load_problem(config)
+        if sys_.d_x != 2:
+            raise ConfigurationError(
+                f"the benchmark sweeps need a 2-D state (a feasible polygon), got d_x = {sys_.d_x}")
         qp = build_condensed(sys_, cost, cons)
         half = float(np.max(np.asarray(config["constraints"].get("state_box", 10.0))))
         grid = state_grid([-half] * qp.d_x, [half] * qp.d_x, resolution)
         coll = discover_pieces(qp, grid)
         table = PieceTableEvaluator(qp, coll)
-        projector = PolygonProjector(feasible_polygon(qp)) if qp.d_x == 2 else None
+        projector = PolygonProjector(feasible_polygon(qp))
         R = feasible_radii(qp, np.zeros(qp.d_x)).R
         return cls(qp=qp, sys=sys_, cost=cost, cons=cons, table=table,
                    projector=projector, outer_radius=R,

@@ -122,3 +122,20 @@ def test_cli_matrix_selftest(tiny_cfg, tmp_path, capsys):
     assert main(["matrix-selftest", "--config", str(tiny_cfg),
                  "--out", str(tmp_path)]) == 0
     assert "0 failures" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["bounds", "smoothness", "imitate"])
+def test_cli_non_planar_state_exit_3_before_discovery(verb, tmp_path, monkeypatch, capsys):
+    cfg = dict(TINY)
+    cfg["system"] = {"A": np.eye(3).tolist(), "B": [[0.0], [0.0], [1.0]]}
+    cfg["cost"] = {"Q": np.eye(3).tolist(), "R": [[0.01]], "horizon": 3}
+    path = tmp_path / "cube.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+
+    def no_discovery(*args, **kwargs):
+        raise AssertionError("pieces discovered before the state dimension was checked")
+
+    monkeypatch.setattr(smoothmpc.experiments, "discover_pieces", no_discovery)
+    assert main([verb, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "d_x = 3" in err

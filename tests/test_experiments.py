@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import smoothmpc.experiments
 from smoothmpc.config import default_config
+from smoothmpc.core import (
+    BoxlikeConstraints,
+    LinearSystem,
+    StageCost,
+    build_condensed,
+    double_integrator_problem,
+)
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import (
     Workbench,
@@ -19,11 +27,118 @@ from smoothmpc.experiments import (
 )
 from smoothmpc.explicit import solve_qp
 from smoothmpc.mlp import TrainConfig
+from smoothmpc.qp import chebyshev_center, support
+from test_warm_start import random_system
 
 
 @pytest.fixture(scope="module")
 def bench():
     return Workbench.from_config(default_config(), resolution=101)
+
+
+def sweep_polygon(qp):
+    """Oracle: hull of the support points in 720 fixed directions.
+
+    The set-up's former route. Its vertices are exact, but it misses any
+    vertex whose normal cone is narrower than the 0.5 degree step.
+    """
+    G_xu = np.hstack([-qp.P, qp.G])
+    pts = []
+    for th in np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False):
+        c = np.zeros(2 + qp.n)
+        c[0], c[1] = np.cos(th), np.sin(th)
+        pts.append(support(G_xu, qp.w, c)[0][:2])
+    pts = np.array(pts)
+    hull = ConvexHull(pts)
+    return pts[hull.vertices]
+
+
+def planar_systems(count, seed=7):
+    """The first ``count`` random systems with a 2-D state."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        qp = random_system(rng)[1]
+        if qp.d_x == 2:
+            out.append(qp)
+    return out
+
+
+def edge_excess(qp, V):
+    """Largest relative amount by which the feasible set passes an edge of V."""
+    G_xu = np.hstack([-qp.P, qp.G])
+    worst = -np.inf
+    for a, b in zip(V, np.roll(V, -1, axis=0)):
+        e = b - a
+        c = np.zeros(2 + qp.n)
+        c[:2] = np.array([e[1], -e[0]]) / np.linalg.norm(e)
+        offset = float(c[:2] @ a)
+        worst = max(worst, (support(G_xu, qp.w, c)[1] - offset) / (1.0 + abs(offset)))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def planar_polygons():
+    return [(qp, feasible_polygon(qp), sweep_polygon(qp)) for qp in planar_systems(12)]
+
+
+def test_polygon_equals_sweep_on_double_integrator():
+    qp = build_condensed(*double_integrator_problem())
+    V = feasible_polygon(qp)
+    assert len(V) == 14
+    assert np.array_equal(V, sweep_polygon(qp))
+
+
+def test_polygon_contains_every_sweep_vertex(planar_polygons):
+    for _, V, S in planar_polygons:
+        for s in S:
+            assert np.min(np.linalg.norm(V - s, axis=1)) <= 1e-9 * (1.0 + np.linalg.norm(s))
+
+
+def test_polygon_vertices_are_feasible(planar_polygons):
+    # at a vertex the input polytope is flat, and the active-set QP may fail
+    # there (a singular working set, or no convergence); the Chebyshev LP
+    # decides. The origin is interior, so a vertex pushed out is infeasible.
+    for qp, V, _ in planar_polygons:
+        for v in V:
+            assert chebyshev_center(qp.G, qp.bounds_rhs(v))[1] >= -1e-9
+            with pytest.raises(InfeasibleError):
+                chebyshev_center(qp.G, qp.bounds_rhs(1.001 * v))
+
+
+def test_polygon_edges_are_certified(planar_polygons):
+    for qp, V, _ in planar_polygons:
+        assert edge_excess(qp, V) <= 1e-9
+
+
+def test_polygon_finds_vertices_the_sweep_misses(planar_polygons):
+    # the 11th planar draw has two vertices with normal cones of 0.064 and
+    # 0.0033 degrees; the sweep's polygon cuts them off
+    qp, V, S = planar_polygons[10]
+    assert (len(V), len(S)) == (8, 6)
+    assert edge_excess(qp, V) <= 1e-9
+    assert edge_excess(qp, S) > 1e-3
+
+
+def test_polygon_drops_a_support_point_inside_an_edge(monkeypatch):
+    # the set is [-1, 1] x [-2, 2]; the first starting direction (1, 0) is
+    # an edge normal, and its support point (1, 0) lies inside that edge
+    sys_ = LinearSystem(A=np.eye(2), B=np.array([[0.0], [1.0]]))
+    cons = BoxlikeConstraints(A_x=np.vstack([np.eye(2), -np.eye(2)]), b_x=np.ones(4),
+                              A_u=np.array([[1.0], [-1.0]]), b_u=np.ones(2))
+    qp = build_condensed(sys_, StageCost(Q=np.eye(2), R=np.eye(1), horizon=2), cons)
+    hull_inputs = []
+
+    def spy(pts):
+        hull_inputs.append(pts)
+        return ConvexHull(pts)
+
+    monkeypatch.setattr(smoothmpc.experiments, "ConvexHull", spy)
+    V = feasible_polygon(qp)
+    assert any(np.array_equal(p, [1.0, 0.0]) for p in hull_inputs[0])
+    assert sorted(map(tuple, V)) == [(-1.0, -2.0), (-1.0, 2.0), (1.0, -2.0), (1.0, 2.0)]
+    x, y = V.T
+    assert 0.5 * (x @ np.roll(y, -1) - y @ np.roll(x, -1)) == 8.0  # counterclockwise
 
 
 def test_polygon_contains_exactly_the_feasible_set(bench):

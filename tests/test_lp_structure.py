@@ -11,6 +11,7 @@ from smoothmpc.barrier import make_barrier_problem, solve_barrier
 from smoothmpc.core import build_condensed, double_integrator_problem, feasible_radii
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import feasible_polygon
+from test_experiments import planar_systems
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +69,15 @@ def test_radii_lp_count(di_qp, lp_calls):
 
 
 def test_polygon_lp_count(di_qp, lp_calls):
-    feasible_polygon(di_qp)
-    assert len(lp_calls) == 720
+    # three starting LPs, then one per inserted point and one per final
+    # edge: 2V when the starting points are distinct vertices, one more
+    # for each repeated starting point, two for each point inside an edge
+    V = feasible_polygon(di_qp)
+    assert len(V) == 14 and len(lp_calls) == 2 * len(V)
+    for qp in planar_systems(12):
+        lp_calls.clear()
+        V = feasible_polygon(qp)
+        assert 2 * len(V) <= len(lp_calls) <= 2 * len(V) + 3
 
 
 def test_infeasible_solve_defers_certificate_lp(di_qp, lp_calls):
