@@ -11,10 +11,10 @@ class InfeasibleError(ValueError):
     """Constraint polytope is empty.
 
     ``certificate`` is a Farkas vector y >= 0 with y^T G = 0 and
-    y^T (w + P x0) < 0 when available. It may be given as a zero-argument
-    callable, which runs (once) only when the certificate is read: most
-    callers catch the error without reading it, and computing one costs
-    an LP.
+    y^T (w + P x0) < 0 when available. The QP solver attaches its own
+    directly. Only a certificate that costs an LP is deferred: it is given
+    as a zero-argument callable, which runs (once) when the certificate is
+    first read, since most callers catch the error without reading it.
     """
 
     def __init__(self, message: str,

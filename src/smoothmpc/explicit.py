@@ -120,7 +120,7 @@ class QPSolution:
     objective: float
 
 
-def solve_qp(qp: CondensedQP, x0: np.ndarray, warm: np.ndarray | None = None) -> QPSolution:
+def solve_qp(qp: CondensedQP, x0: np.ndarray) -> QPSolution:
     """Global minimizer of the condensed QP at state x0.
 
     Raises InfeasibleError (with a Farkas separating certificate) when the
@@ -128,7 +128,7 @@ def solve_qp(qp: CondensedQP, x0: np.ndarray, warm: np.ndarray | None = None) ->
     """
     x0 = np.asarray(x0, dtype=float)
     b = qp.bounds_rhs(x0)
-    sol = raw_solve_qp(qp.H, -(qp.F.T @ x0), qp.G, b, z0=warm)
+    sol = raw_solve_qp(qp.H, -(qp.F.T @ x0), qp.G, b)
     return QPSolution(u_star=sol.z, sigma=ActiveSet(sol.working_set),
                       multipliers=sol.multipliers, objective=sol.objective)
 
@@ -327,15 +327,12 @@ def discover_pieces(qp: CondensedQP, grid: np.ndarray, method: str = "assign") -
 def _discover_per_point(qp: CondensedQP, grid: np.ndarray) -> PieceCollection:
     sigma_pieces: dict = {}
     n_inf = 0
-    warm = None
     for x in grid:
         try:
-            sol = solve_qp(qp, x, warm=warm)
+            sol = solve_qp(qp, x)
         except InfeasibleError:
             n_inf += 1
-            warm = None
             continue
-        warm = sol.u_star
         key = sol.sigma.bitstring()
         if key not in sigma_pieces:
             sigma_pieces[key] = [gain_for_sigma(qp, sol.sigma), 0]

@@ -1,15 +1,17 @@
-"""Dense strictly convex QP solver and cross-check oracles.
+"""Dense strictly convex QP solver and the package's linear programs.
 
 Solves min 0.5 z^T H z + q^T z subject to G z <= b with H positive
-definite, by a primal active-set method with smallest-index (Bland)
-anti-cycling rules. Exact active sets at the optimizer are required
-downstream, which rules out interior-point solvers here.
+definite, by the dual active-set method of Goldfarb & Idnani (1983): it
+starts at the unconstrained minimizer and adds violated rows, so it needs
+no feasible starting point, and an empty polytope ends it with a dual ray
+that is its own Farkas certificate. Exact active sets at the optimizer
+are required downstream, which rules out interior-point solvers here.
 
-Every linear program of the package runs here: the Chebyshev-center
-and support LPs over {z : G z <= b}, with one mapping of HiGHS statuses
-to exceptions, and the Farkas certificate of an empty polytope. A dual
-accelerated projected-gradient oracle is provided for independent
-cross-checks.
+Every linear program of the package runs here, and none serves the QP:
+the Chebyshev-center and support LPs over {z : G z <= b}, with one
+mapping of HiGHS statuses to exceptions, and the Farkas certificate of an
+empty polytope. They give the feasible radii, the bounding box, the
+feasible polygon and the barrier's cold start.
 """
 
 from __future__ import annotations
@@ -25,12 +27,18 @@ from .errors import InfeasibleError, UnboundedError
 __all__ = [
     "RawQPSolution",
     "raw_solve_qp",
-    "dual_ascent_qp",
     "chebyshev_center",
     "support",
     "bounding_box",
     "farkas_certificate",
 ]
+
+
+# a row counts as violated when (G z - b)_i > FEAS_TOL * (1 + |b_i|); a
+# row p counts as dependent on the working rows when, in the H^-1 inner
+# product, the squared norm of its part outside their span is at most
+# FEAS_TOL * (G H^-1 G^T)_pp
+FEAS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,133 +115,70 @@ def farkas_certificate(G: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return y
 
 
-def raw_solve_qp(
-    H: np.ndarray,
-    q: np.ndarray,
-    G: np.ndarray,
-    b: np.ndarray,
-    z0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> RawQPSolution:
-    """Primal active-set method for a strictly convex inequality-constrained QP.
+def raw_solve_qp(H: np.ndarray, q: np.ndarray, G: np.ndarray, b: np.ndarray) -> RawQPSolution:
+    """Dual active-set method (Goldfarb & Idnani) for a strictly convex QP.
 
-    ``z0`` optionally warm-starts from a feasible point (validated);
-    otherwise a Chebyshev-center phase 1 runs first, or, on a polytope
-    that holds arbitrarily large balls, a support LP gives some feasible
-    point. Ties in the removal/blocking rules are broken by smallest
-    constraint index.
+    Starts at the unconstrained minimizer -H^-1 q with an empty working
+    set and repeatedly takes the most violated row p (largest
+    (G z - b)_p / (1 + |b_p|), smallest index on ties) until no row is
+    violated by more than FEAS_TOL. A step raises the multiplier of p
+    while the working rows stay active: a full step makes p active and
+    adds it, a partial step stops where a working multiplier reaches zero,
+    drops that row and tries p again. When neither step exists, p is a
+    nonnegative combination of working rows that it cannot meet, and the
+    dual ray is the Farkas certificate of the empty polytope.
     """
-    H = np.asarray(H, dtype=float)
-    q = np.asarray(q, dtype=float)
-    G = np.asarray(G, dtype=float)
-    b = np.asarray(b, dtype=float)
+    H, q, G, b = (np.asarray(a, dtype=float) for a in (H, q, G, b))
+    if not all(np.isfinite(a).all() for a in (H, q, G, b)):
+        raise ValueError("QP data has non-finite entries")
     m, n = G.shape
+    # in w = L^T z, with H = L L^T, the QP is min 0.5 |w - w0|^2 s.t. V^T w <= b
+    L = np.linalg.cholesky(H)
+    V = np.linalg.solve(L, G.T)
+    w = -np.linalg.solve(L, q)
     scale_b = 1.0 + np.abs(b)
-
-    if z0 is not None and np.all(G @ z0 - b <= 1e-9 * scale_b):
-        z = np.asarray(z0, dtype=float).copy()
-    else:
-        try:
-            z = chebyshev_center(G, b)[0]
-        except UnboundedError:
-            z = support(G, b, np.zeros(n))[0]
-    # the LP start may violate rows by its own tolerance: raise above 1e-7
-    # of the scale, and otherwise start the active-set method from it
-    if (G @ z - b).max(initial=-np.inf) > 1e-7 * scale_b.max():
-        raise InfeasibleError("phase-1 produced an infeasible start",
-                              certificate=partial(farkas_certificate, G, b))
-
+    lam = np.zeros(m)
     work = np.zeros(m, dtype=bool)
-    if max_iter is None:
-        max_iter = 50 * (m + n + 10)
-
-    lam_work = np.zeros(0)
+    p = -1
+    max_iter = 50 * (m + n + 10)
     for it in range(1, max_iter + 1):
-        g = H @ z + q
-        idx = np.flatnonzero(work)
-        k = idx.size
-        if k:
-            KKT = np.zeros((n + k, n + k))
-            KKT[:n, :n] = H
-            KKT[:n, n:] = G[idx].T
-            KKT[n:, :n] = G[idx]
-            rhs = np.concatenate([-g, np.zeros(k)])
-            sol = np.linalg.solve(KKT, rhs)
-            p, lam_work = sol[:n], sol[n:]
-        else:
-            p = np.linalg.solve(H, -g)
-            lam_work = np.zeros(0)
-
-        if np.linalg.norm(p) <= tol * (1.0 + np.linalg.norm(z)):
-            if k == 0 or lam_work.min() >= -tol:
-                mult = np.zeros(m)
-                mult[idx] = np.maximum(lam_work, 0.0)
-                obj = float(0.5 * z @ H @ z + q @ z)
-                return RawQPSolution(z=z, working_set=work.copy(), multipliers=mult,
-                                     objective=obj, iterations=it)
-            drop = idx[np.flatnonzero(lam_work < -tol)[0]]
-            work[drop] = False
-            continue
-
-        rows = np.flatnonzero(~work)
-        Gp = G[rows] @ p
-        pos = Gp > 1e-13 * (1.0 + np.abs(Gp).max(initial=0.0))
-        alpha = 1.0
+        if p < 0:
+            viol = (V.T @ w - b) / scale_b
+            if viol.max(initial=-np.inf) <= FEAS_TOL:
+                z = np.linalg.solve(L.T, w)
+                return RawQPSolution(z=z, working_set=work, multipliers=np.maximum(lam, 0.0),
+                                     objective=float(0.5 * z @ H @ z + q @ z), iterations=it)
+            p = int(np.argmax(viol))
+        A = np.flatnonzero(work)
+        # split v_p into V_A r and the step d orthogonal to the working rows;
+        # by QR, so that d is accurate when v_p nearly lies in their span
+        Q, R = np.linalg.qr(V[:, A])
+        c = Q.T @ V[:, p]
+        r = np.linalg.solve(R, c)
+        d = V[:, p] - Q @ c
+        t = np.inf
+        if d @ d > FEAS_TOL * (V[:, p] @ V[:, p]):
+            t = (V[:, p] @ w - b[p]) / (d @ d)
+        pos = r > 0
         block = -1
         if pos.any():
-            cand = rows[pos]
-            ratios = np.maximum(b[cand] - G[cand] @ z, 0.0) / Gp[pos]
-            amin = float(ratios.min())
-            if amin < 1.0:
-                alpha = amin
-                # Bland tie-break: smallest index among near-minimal ratios
-                tie = cand[ratios <= amin + 1e-12 * (1.0 + amin)]
-                block = int(tie.min())
-        z = z + alpha * p
+            ratios = lam[A[pos]] / r[pos]
+            j = int(np.argmin(ratios))
+            if ratios[j] < t:
+                t, block = float(ratios[j]), int(A[pos][j])
+        if not np.isfinite(t):
+            y = np.zeros(m)
+            y[A] = np.maximum(-r, 0.0)
+            y[p] = 1.0
+            raise InfeasibleError("constraint polytope is empty", certificate=y)
+        w = w - t * d
+        lam[A] -= t * r
+        lam[p] += t
         if block >= 0:
-            work[block] = True
+            lam[block] = 0.0
+            work[block] = False
+        else:
+            work[p] = True
+            p = -1
 
-    raise RuntimeError(f"active-set method did not converge in {max_iter} iterations")
-
-
-def dual_ascent_qp(
-    H: np.ndarray,
-    q: np.ndarray,
-    G: np.ndarray,
-    b: np.ndarray,
-    max_iter: int = 1_000_000,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Accelerated projected gradient on the dual; independent of the active-set path.
-
-    Maximizes the dual of min 0.5 z^T H z + q^T z s.t. G z <= b over
-    lambda >= 0 and returns the primal z(lambda). Used only as a
-    cross-check oracle at desk scale.
-    """
-    H = np.asarray(H, dtype=float)
-    q = np.asarray(q, dtype=float)
-    G = np.asarray(G, dtype=float)
-    b = np.asarray(b, dtype=float)
-    Hinv_GT = np.linalg.solve(H, G.T)
-    M = G @ Hinv_GT
-    Hinv_q = np.linalg.solve(H, q)
-    L = float(np.linalg.eigvalsh(M).max())
-    if L <= 0:
-        return -Hinv_q
-    step = 1.0 / L
-    lam = np.zeros(G.shape[0])
-    y = lam.copy()
-    t = 1.0
-    prev = lam.copy()
-    for it in range(max_iter):
-        grad = -(M @ y) - (G @ Hinv_q) - b  # gradient of the dual at y
-        lam_new = np.maximum(y + step * grad, 0.0)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = lam_new + ((t - 1.0) / t_new) * (lam_new - prev)
-        if np.linalg.norm(lam_new - prev) <= tol * (1.0 + np.linalg.norm(lam_new)) and it > 10:
-            lam = lam_new
-            break
-        prev, t, lam = lam_new, t_new, lam_new
-    return -Hinv_q - Hinv_GT @ lam
-
+    raise RuntimeError(f"dual active-set method did not converge in {max_iter} iterations")

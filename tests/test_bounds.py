@@ -26,7 +26,7 @@ from smoothmpc.bounds import (
 from smoothmpc.core import build_condensed, clip_problem, double_integrator_problem, feasible_radii
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.explicit import c_constant, enumerate_nonsingular_sigmas, max_gain_norm, solve_qp
-from smoothmpc.qp import raw_solve_qp
+from qp_oracles import primal_active_set_qp
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +281,7 @@ def test_quad_opt_gap_shrinks_with_eta():
     Hm = np.eye(2)
     v = np.array([3.0, 0.5])  # outside, so the gap is nonzero
     lin = -(Hm @ v)
-    x_star = raw_solve_qp(Hm, lin, G, b).z
+    x_star = primal_active_set_qp(Hm, lin, G, b).z
     gaps = []
     for eta in (0.2, 0.1, 0.05, 0.025):
         x_eta = newton_log_barrier(Hm, lin, G, b, eta)

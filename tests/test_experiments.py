@@ -96,14 +96,25 @@ def test_polygon_contains_every_sweep_vertex(planar_polygons):
 
 
 def test_polygon_vertices_are_feasible(planar_polygons):
-    # at a vertex the input polytope is flat, and the active-set QP may fail
-    # there (a singular working set, or no convergence); the Chebyshev LP
-    # decides. The origin is interior, so a vertex pushed out is infeasible.
+    # The origin is interior, so a vertex pushed out is infeasible. At a
+    # vertex the input polytope is flat, and the QP still solves there. Its
+    # KKT conditions are checked term by term: the multipliers reach 3.5e5
+    # on the 2nd draw, so a bound on lambda * residual would not do.
     for qp, V, _ in planar_polygons:
         for v in V:
             assert chebyshev_center(qp.G, qp.bounds_rhs(v))[1] >= -1e-9
             with pytest.raises(InfeasibleError):
                 chebyshev_center(qp.G, qp.bounds_rhs(1.001 * v))
+            sol = solve_qp(qp, v)
+            u, lam, work = sol.u_star, sol.multipliers, sol.sigma.sigma
+            b = qp.bounds_rhs(v)
+            terms = [qp.H @ u, qp.F.T @ v, qp.G.T @ lam]
+            stat = terms[0] - terms[1] + terms[2]
+            assert np.linalg.norm(stat) <= 1e-9 * (1.0 + sum(np.linalg.norm(t) for t in terms))
+            res = qp.G @ u - b
+            assert np.all(res <= 1e-9 * (1.0 + np.abs(b)))
+            assert np.all(np.abs(res[work]) <= 1e-9 * (1.0 + np.abs(b[work])))
+            assert lam.min() >= 0 and not lam[~work].any()
 
 
 def test_polygon_edges_are_certified(planar_polygons):

@@ -11,6 +11,7 @@ from smoothmpc.barrier import make_barrier_problem, solve_barrier
 from smoothmpc.core import build_condensed, double_integrator_problem, feasible_radii
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import feasible_polygon
+from smoothmpc.explicit import discover_pieces, solve_qp, state_grid
 from test_experiments import planar_systems
 
 
@@ -78,6 +79,19 @@ def test_polygon_lp_count(di_qp, lp_calls):
         lp_calls.clear()
         V = feasible_polygon(qp)
         assert 2 * len(V) <= len(lp_calls) <= 2 * len(V) + 3
+
+
+def test_qp_solves_and_discovery_run_no_lp(di_qp, lp_calls):
+    solve_qp(di_qp, np.array([5.0, 2.0]))
+    with pytest.raises(InfeasibleError) as exc:
+        solve_qp(di_qp, np.array([8.0, 2.0]))
+    assert exc.value.certificate is not None
+    assert len(lp_calls) == 0
+    vertex = feasible_polygon(di_qp)[0]
+    lp_calls.clear()  # the polygon's own support LPs
+    solve_qp(di_qp, vertex)
+    discover_pieces(di_qp, state_grid([-10, -10], [10, 10], 201))
+    assert len(lp_calls) == 0
 
 
 def test_infeasible_solve_defers_certificate_lp(di_qp, lp_calls):
