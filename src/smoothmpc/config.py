@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .mlp import TrainConfig
+
 __all__ = ["default_config", "load_config", "validate_config", "config_hash"]
 
 
@@ -67,6 +69,10 @@ def validate_config(cfg: dict) -> dict:
     _require(len(merged["imitation"]["seeds"]) > 0, "imitation.seeds must be nonempty")
     _require(int(merged["imitation"]["N"]) >= 0 and int(merged["imitation"]["K"]) >= 1,
              "imitation.N/K out of range")
+    try:
+        TrainConfig(**merged["imitation"]["train"])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"invalid configuration: imitation.train: {err}") from None
     return merged
 
 

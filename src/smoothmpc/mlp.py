@@ -1,11 +1,14 @@
 """Dense GELU network trained by hand-rolled backprop and AdamW.
 
 Four weight layers with GELU on the hidden activations, inputs normalized
-by configurable half-widths. The loss is mean squared control error plus
-an optional Jacobian-matching term; its gradient is assembled manually,
-including the second-derivative (gelu'') paths introduced by the
-Jacobian penalty. AdamW applies decoupled weight decay, so with zero data
-gradient every parameter contracts by exactly (1 - lr * wd) per step.
+by configurable half-widths. One flat vector, ``MLPPolicy.params``, holds
+every weight and bias: the layers are views of it, and the gradient and
+AdamW's moments share its layout. The forward pass keeps Phi(z), so GELU
+z Phi(z) and its slope Phi(z) + z pdf(z) cost one erf. The loss is mean
+squared control error plus an optional Jacobian-matching term (TaSIL),
+differentiated back through the chain of input Jacobians that
+``jacobian_batch`` builds. AdamW applies decoupled weight decay, so with
+zero data gradient every parameter contracts by exactly (1 - lr * wd).
 """
 
 from __future__ import annotations
@@ -24,16 +27,20 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def gelu(z):
-    return 0.5 * z * (1.0 + erf(z / _SQRT2))
+def _cdf(z):
+    return 0.5 * (1.0 + erf(z / _SQRT2))
 
 
 def _pdf(z):
     return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
 
 
+def gelu(z):
+    return z * _cdf(z)
+
+
 def gelu_prime(z):
-    return 0.5 * (1.0 + erf(z / _SQRT2)) + z * _pdf(z)
+    return _cdf(z) + z * _pdf(z)
 
 
 def gelu_second(z):
@@ -44,16 +51,18 @@ class MLPPolicy:
     """Control policy net: x -> scale -> [dense+GELU]x3 -> dense -> u."""
 
     def __init__(self, weights, biases, halfwidths):
-        self.weights = [np.asarray(W, dtype=float) for W in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+        ends = np.cumsum([a.size for a in arrays])
+        self._layout = [(end - a.size, end, a.shape) for a, end in zip(arrays, ends)]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        self.weights, self.biases = self._views(self.params)
         self.halfwidths = np.asarray(halfwidths, dtype=float)
-        self.n_layers = len(self.weights)
 
     @classmethod
-    def init(cls, d_x: int, d_u: int, width: int = 64, n_layers: int = 4,
-             halfwidths=None, seed: int = 0) -> "MLPPolicy":
+    def init(cls, d_x: int, d_u: int, width: int = 64, halfwidths=None,
+             seed: int = 0) -> "MLPPolicy":
         rng = np.random.default_rng(seed)
-        dims = [d_x] + [width] * (n_layers - 1) + [d_u]
+        dims = [d_x, width, width, width, d_u]
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             weights.append(rng.standard_normal((fan_out, fan_in)) * np.sqrt(2.0 / fan_in))
@@ -63,36 +72,34 @@ class MLPPolicy:
             halfwidths = np.ones(d_x)
         return cls(weights, biases, halfwidths)
 
-    # --- flat parameter vector -------------------------------------------------
-    @property
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([W.ravel() for W in self.weights]
-                              + [b.ravel() for b in self.biases])
-
-    @flat_params.setter
-    def flat_params(self, vec: np.ndarray):
-        vec = np.asarray(vec, dtype=float)
-        pos = 0
-        for W in self.weights:
-            W[...] = vec[pos:pos + W.size].reshape(W.shape)
-            pos += W.size
-        for b in self.biases:
-            b[...] = vec[pos:pos + b.size]
-            pos += b.size
-        if pos != vec.size:
-            raise ValueError("flat parameter vector has the wrong length")
+    def _views(self, flat: np.ndarray) -> tuple:
+        """Views of a params-shaped vector: the weight matrices and the biases."""
+        views = [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
+        return views[:len(views) // 2], views[len(views) // 2:]
 
     # --- evaluation --------------------------------------------------------------
     def _forward(self, X: np.ndarray):
-        A = X / self.halfwidths
-        acts = [A]
-        zs = []
-        for l in range(self.n_layers):
-            Z = A @ self.weights[l].T + self.biases[l]
-            zs.append(Z)
-            A = gelu(Z) if l < self.n_layers - 1 else Z
-            acts.append(A)
-        return zs, acts
+        """Pre-activations, layer inputs and output, and gelu' of each hidden layer."""
+        zs, acts, slopes = [], [X / self.halfwidths], []
+        for W, b in zip(self.weights, self.biases):
+            zs.append(acts[-1] @ W.T + b)
+            acts.append(zs[-1])
+            if len(zs) < len(self.weights):
+                cdf = _cdf(zs[-1])
+                acts[-1] = zs[-1] * cdf
+                slopes.append(cdf + zs[-1] * _pdf(zs[-1]))
+        return zs, acts, slopes
+
+    def _jacobian_chain(self, slopes):
+        """Input Jacobians Ms[l] of each layer's input and Qs[l] = W_l Ms[l] of
+        its pre-activation; Ms[l + 1] = gelu'(z_l) Qs[l] and Qs[-1] = du/dx."""
+        B, d_x = slopes[0].shape[0], self.halfwidths.size
+        Ms = [np.broadcast_to(np.diag(1.0 / self.halfwidths), (B, d_x, d_x)).copy()]
+        Qs = [np.einsum("ij,bjk->bik", self.weights[0], Ms[0])]
+        for W, D in zip(self.weights[1:], slopes):
+            Ms.append(Qs[-1] * D[:, :, None])
+            Qs.append(np.einsum("ij,bjk->bik", W, Ms[-1]))
+        return Ms, Qs
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -104,14 +111,7 @@ class MLPPolicy:
     def jacobian_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact network Jacobians d u / d x, shape (B, d_u, d_x)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        zs, _ = self._forward(X)
-        B = X.shape[0]
-        d_x = X.shape[1]
-        M = np.broadcast_to(np.diag(1.0 / self.halfwidths), (B, d_x, d_x)).copy()
-        for l in range(self.n_layers - 1):
-            M = np.einsum("ij,bjk->bik", self.weights[l], M)
-            M *= gelu_prime(zs[l])[:, :, None]
-        return np.einsum("ij,bjk->bik", self.weights[-1], M)
+        return self._jacobian_chain(self._forward(X)[2])[1][-1]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]
@@ -122,51 +122,40 @@ class MLPPolicy:
                        lambda_jac: float = 0.0):
         """Mean squared control error (+ lambda_jac * Jacobian mismatch).
 
-        Returns (loss, grad weights list, grad biases list). The Jacobian
-        term differentiates through the activation derivatives, adding
-        gelu'' paths to every hidden layer.
+        Returns (loss, grad), with grad laid out like ``params``. The
+        Jacobian term is differentiated back through the chain of input
+        Jacobians, adding gelu'' paths to every hidden layer.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         U = np.atleast_2d(np.asarray(U, dtype=float))
         B = X.shape[0]
-        L = self.n_layers
-        zs, acts = self._forward(X)
-        Y = acts[-1]
-        diff = Y - U
+        L = len(self.weights)
+        zs, acts, slopes = self._forward(X)
+        diff = acts[-1] - U
         loss = float(np.sum(diff ** 2) / B)
 
-        dW = [np.zeros_like(W) for W in self.weights]
-        db = [np.zeros_like(b) for b in self.biases]
-        inject = [None] * L  # extra pre-activation gradients from the Jacobian term
-
-        if lambda_jac > 0.0 and J_target is not None:
-            Dp = [gelu_prime(zs[l]) for l in range(L - 1)]
-            d_x = X.shape[1]
-            Ms = [np.broadcast_to(np.diag(1.0 / self.halfwidths), (B, d_x, d_x)).copy()]
-            for l in range(L - 1):
-                Q = np.einsum("ij,bjk->bik", self.weights[l], Ms[l])
-                Ms.append(Q * Dp[l][:, :, None])
-            J = np.einsum("ij,bjk->bik", self.weights[-1], Ms[L - 1])
-            E = 2.0 * lambda_jac * (J - J_target) / B
-            loss += float(lambda_jac * np.sum((J - J_target) ** 2) / B)
-            dW[L - 1] += np.einsum("bck,bjk->cj", E, Ms[L - 1])
-            P = np.broadcast_to(self.weights[-1], (B,) + self.weights[-1].shape)
-            for l in range(L - 2, -1, -1):
-                Q = np.einsum("ij,bjk->bik", self.weights[l], Ms[l])
-                PD = P * Dp[l][:, None, :]
-                dW[l] += np.einsum("bci,bck,bjk->ij", PD, E, Ms[l])
-                inject[l] = gelu_second(zs[l]) * np.einsum("bci,bck,bik->bi", P, E, Q)
-                P = np.einsum("bci,ij->bcj", PD, self.weights[l])
+        grad = np.zeros_like(self.params)
+        dW, db = self._views(grad)
+        jac = lambda_jac > 0.0 and J_target is not None
+        if jac:
+            Ms, Qs = self._jacobian_chain(slopes)
+            J_err = Qs[-1] - J_target
+            loss += float(lambda_jac * np.sum(J_err ** 2) / B)
+            Qbar = 2.0 * lambda_jac * J_err / B  # d loss / d Qs[l]
 
         delta = 2.0 * diff / B
         for l in range(L - 1, -1, -1):
             dW[l] += delta.T @ acts[l]
             db[l] += delta.sum(axis=0)
+            if jac:
+                dW[l] += np.tensordot(Qbar, Ms[l], axes=([0, 2], [0, 2]))
             if l > 0:
-                delta = (delta @ self.weights[l]) * gelu_prime(zs[l - 1])
-                if inject[l - 1] is not None:
-                    delta = delta + inject[l - 1]
-        return loss, dW, db
+                delta = (delta @ self.weights[l]) * slopes[l - 1]
+                if jac:
+                    Mbar = np.matmul(self.weights[l].T, Qbar)  # d loss / d Ms[l]
+                    delta = delta + gelu_second(zs[l - 1]) * np.sum(Mbar * Qs[l - 1], axis=2)
+                    Qbar = Mbar * slopes[l - 1][:, :, None]
+        return loss, grad
 
 
 @dataclass
@@ -187,32 +176,34 @@ class TrainConfig:
             raise ValueError("hyperparameters must be nonnegative")
         if self.batch_size < 1 or self.width < 1:
             raise ValueError("batch size and width must be positive")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError("val_fraction must be in [0, 1)")
 
 
 class AdamW:
-    """Adam with decoupled weight decay on a list of parameter arrays."""
+    """Adam with decoupled weight decay on one parameter array, in place."""
 
-    def __init__(self, params, lr: float, weight_decay: float,
+    def __init__(self, params: np.ndarray, lr: float, weight_decay: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.wd = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, grads):
+    def step(self, grad: np.ndarray):
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            p -= self.lr * self.wd * p
+        p, m, v = self.params, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        p -= self.lr * self.wd * p
 
 
 def train_imitator(ds: ImitationDataset, cfg: TrainConfig,
@@ -235,8 +226,7 @@ def train_imitator(ds: ImitationDataset, cfg: TrainConfig,
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if train_idx.size == 0:
         train_idx = perm
-    params = policy.weights + policy.biases
-    opt = AdamW(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    opt = AdamW(policy.params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     train_curve, val_curve = [], []
     order = rng.permutation(train_idx)
     pos = 0
@@ -247,10 +237,10 @@ def train_imitator(ds: ImitationDataset, cfg: TrainConfig,
         batch = order[pos:pos + cfg.batch_size]
         pos += cfg.batch_size
         Jb = None if J is None else J[batch]
-        loss, dW, db = policy.loss_and_grads(X[batch], U[batch], Jb, cfg.lambda_jac)
+        loss, grad = policy.loss_and_grads(X[batch], U[batch], Jb, cfg.lambda_jac)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"loss became {loss} at step {step}")
-        opt.step(dW + db)
+        opt.step(grad)
         train_curve.append(loss)
         if val_idx.size and (step % 50 == 0 or step == cfg.steps - 1):
             vloss = float(np.sum((policy.eval_batch(X[val_idx]) - U[val_idx]) ** 2) / val_idx.size)

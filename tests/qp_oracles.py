@@ -116,7 +116,11 @@ def dual_ascent_qp(
     """Accelerated projected gradient on the dual; independent of the active-set path.
 
     Maximizes the dual of min 0.5 z^T H z + q^T z s.t. G z <= b over
-    lambda >= 0 and returns the primal z(lambda). Used only as a
+    lambda >= 0 and returns the primal z(lambda). z(lambda) is stationary
+    and lambda >= 0 by construction, so the iteration stops on the rest of
+    the KKT conditions: every row violated by at most tol (1 + |b_i|), and
+    a duality gap |lambda^T (G z - b)| of at most tol (1 + |f(z)|). Raises
+    RuntimeError if that takes more than ``max_iter`` steps. Used only as a
     cross-check oracle at desk scale.
     """
     H = np.asarray(H, dtype=float)
@@ -130,18 +134,17 @@ def dual_ascent_qp(
     if L <= 0:
         return -Hinv_q
     step = 1.0 / L
-    lam = np.zeros(G.shape[0])
-    y = lam.copy()
+    y = prev = np.zeros(G.shape[0])
     t = 1.0
-    prev = lam.copy()
-    for it in range(max_iter):
+    for _ in range(max_iter):
         grad = -(M @ y) - (G @ Hinv_q) - b  # gradient of the dual at y
-        lam_new = np.maximum(y + step * grad, 0.0)
+        lam = np.maximum(y + step * grad, 0.0)
+        z = -Hinv_q - Hinv_GT @ lam
+        slack = G @ z - b
+        objective = 0.5 * z @ H @ z + q @ z
+        if (slack <= tol * (1.0 + np.abs(b))).all() and abs(lam @ slack) <= tol * (1.0 + abs(objective)):
+            return z
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = lam_new + ((t - 1.0) / t_new) * (lam_new - prev)
-        if np.linalg.norm(lam_new - prev) <= tol * (1.0 + np.linalg.norm(lam_new)) and it > 10:
-            lam = lam_new
-            break
-        prev, t, lam = lam_new, t_new, lam_new
-    return -Hinv_q - Hinv_GT @ lam
-
+        y = lam + ((t - 1.0) / t_new) * (lam - prev)
+        prev, t = lam, t_new
+    raise RuntimeError(f"dual ascent did not meet the KKT tolerance in {max_iter} iterations")

@@ -139,3 +139,20 @@ def test_cli_non_planar_state_exit_3_before_discovery(verb, tmp_path, monkeypatc
     assert main([verb, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "d_x = 3" in err
+
+
+@pytest.mark.parametrize("train", [{"val_fraction": -0.1}, {"val_fraction": 1.0},
+                                   {"steps": 40, "stepz": 40}])
+def test_cli_invalid_train_block_exit_3_before_discovery(train, tmp_path, monkeypatch, capsys):
+    cfg = dict(TINY)
+    cfg["imitation"] = {**TINY["imitation"], "train": train}
+    path = tmp_path / "bad_train.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+
+    def no_discovery(*args, **kwargs):
+        raise AssertionError("pieces discovered before the training block was checked")
+
+    monkeypatch.setattr(smoothmpc.experiments, "discover_pieces", no_discovery)
+    assert main(["imitate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "imitation.train" in err

@@ -101,10 +101,9 @@ def test_raw_qp_over_polytope_holding_arbitrarily_large_balls():
 @given(seed=st.integers(0, 2**31 - 1))
 def test_raw_qp_matches_oracles_on_random_systems(seed):
     # States of unit scale on random systems: some programs are feasible,
-    # some have an empty polytope. Dual ascent stops by its step size, which
-    # meets 1e-6 only where the dual is well conditioned: at seed 10422 the
-    # dual's condition number on the working set is 3e3, and dual ascent is
-    # 1.03e-6 off. Up to 30 it was within 4e-8 on 2,500 sampled states.
+    # some have an empty polytope. Dual ascent stops on its KKT residual,
+    # but its iteration count grows with the dual's condition number on the
+    # working set, so it runs only where that number is at most 30.
     rng = np.random.default_rng(seed)
     qp = random_system(rng)[1]
     top = np.linalg.eigvalsh(qp.gram).max()
@@ -127,6 +126,19 @@ def test_raw_qp_matches_oracles_on_random_systems(seed):
         work = sol.working_set
         if top <= 30 * np.linalg.eigvalsh(qp.gram[np.ix_(work, work)]).min(initial=top):
             assert np.abs(sol.z - dual_ascent_qp(H, q, G, b)).max() <= 1e-6
+
+
+def test_dual_ascent_oracle_stops_on_its_kkt_residual():
+    # At the first state of hypothesis seed 10422 the dual's condition number
+    # on the working set is 3e3; a stop on the step size came 1.03e-6 short
+    rng = np.random.default_rng(10422)
+    qp = random_system(rng)[1]
+    x0 = rng.uniform(-2.5, 2.5, size=qp.d_x)
+    H, q, G, b = qp.H, -(qp.F.T @ x0), qp.G, qp.bounds_rhs(x0)
+    ref = raw_solve_qp(H, q, G, b).z
+    assert np.abs(dual_ascent_qp(H, q, G, b) - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
+    with pytest.raises(RuntimeError):
+        dual_ascent_qp(H, q, G, b, max_iter=1_000)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

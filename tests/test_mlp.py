@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from smoothmpc.mlp import AdamW, MLPPolicy, TrainConfig, gelu, gelu_prime, gelu_second, train_imitator
 from smoothmpc.simulate import ImitationDataset
@@ -18,13 +19,110 @@ def test_gelu_derivatives_match_fd():
     assert np.abs(gelu_second(z) - fd2).max() <= 1e-7
 
 
+def test_gelu_keeps_the_two_erf_closed_forms_bit_for_bit():
+    # GELU is z * Phi(z) and gelu' is Phi(z) + z pdf(z) from one erf; the
+    # scaling by 1/2 is exact, so both equal the forms with their own erf
+    z = np.linspace(-40.0, 40.0, 200_001)
+    erf_z = erf(z / np.sqrt(2.0))
+    pdf = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * z * z)
+    assert np.array_equal(gelu(z), 0.5 * z * (1.0 + erf_z))
+    assert np.array_equal(gelu_prime(z), 0.5 * (1.0 + erf_z) + z * pdf)
+
+
+def test_params_is_the_storage_of_every_layer():
+    net = MLPPolicy.init(2, 1, width=8, seed=4, halfwidths=[2.0, 2.0])
+    assert net.params.dtype == np.float64
+    assert net.params.size == sum(W.size for W in net.weights) + sum(b.size for b in net.biases)
+    assert all(np.shares_memory(a, net.params) for a in net.weights + net.biases)
+    x = np.array([0.5, -1.0])
+    u0 = net(x)
+    net.params[-1] += 0.25  # the output bias is the last entry
+    assert np.array_equal(net(x), u0 + 0.25)
+    before = [W.copy() for W in net.weights]
+    opt = AdamW(net.params, lr=1e-2, weight_decay=0.0)
+    opt.step(net.loss_and_grads(x[None, :], np.array([[3.0]]))[1])
+    assert all(not np.array_equal(W, W0) for W, W0 in zip(net.weights, before))
+
+
+def test_flat_adamw_matches_a_per_array_adamw_bit_for_bit():
+    rng = np.random.default_rng(8)
+    shapes = [(5, 3), (4,), (2, 6)]
+    sizes = [int(np.prod(s)) for s in shapes]
+    flat = rng.standard_normal(sum(sizes))
+    ref = [p.reshape(s).copy() for p, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    ms = [np.zeros_like(p) for p in ref]
+    vs = [np.zeros_like(p) for p in ref]
+    lr, wd, b1, b2, eps = 3e-3, 1e-2, 0.9, 0.999, 1e-8
+    opt = AdamW(flat, lr=lr, weight_decay=wd)
+    for t in range(1, 51):
+        grad = rng.standard_normal(flat.size)
+        opt.step(grad)
+        b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for p, g, m, v in zip(ref, np.split(grad, np.cumsum(sizes)[:-1]), ms, vs):
+            g = g.reshape(p.shape)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+            p -= lr * wd * p
+    assert np.array_equal(flat, np.concatenate([p.ravel() for p in ref]))
+
+
+def _gradient_by_three_operand_einsums(net, X, U, J_target, lam):
+    """The loss gradient with the Jacobian term contracted three operands at a time."""
+    L, B, d_x = len(net.weights), X.shape[0], X.shape[1]
+    zs, acts = [], [X / net.halfwidths]
+    for l in range(L):
+        zs.append(acts[-1] @ net.weights[l].T + net.biases[l])
+        acts.append(gelu(zs[-1]) if l < L - 1 else zs[-1])
+    Dp = [gelu_prime(z) for z in zs[:-1]]
+    Ms = [np.broadcast_to(np.diag(1.0 / net.halfwidths), (B, d_x, d_x)).copy()]
+    for l in range(L - 1):
+        Ms.append(np.einsum("ij,bjk->bik", net.weights[l], Ms[l]) * Dp[l][:, :, None])
+    J = np.einsum("ij,bjk->bik", net.weights[-1], Ms[L - 1])
+    E = 2.0 * lam * (J - J_target) / B
+    dW = [np.zeros_like(W) for W in net.weights]
+    inject = [None] * L
+    dW[L - 1] += np.einsum("bck,bjk->cj", E, Ms[L - 1])
+    P = np.broadcast_to(net.weights[-1], (B,) + net.weights[-1].shape)
+    for l in range(L - 2, -1, -1):
+        Q = np.einsum("ij,bjk->bik", net.weights[l], Ms[l])
+        PD = P * Dp[l][:, None, :]
+        dW[l] += np.einsum("bci,bck,bjk->ij", PD, E, Ms[l])
+        inject[l] = gelu_second(zs[l]) * np.einsum("bci,bck,bik->bi", P, E, Q)
+        P = np.einsum("bci,ij->bcj", PD, net.weights[l])
+    db = [np.zeros_like(b) for b in net.biases]
+    delta = 2.0 * (acts[-1] - U) / B
+    for l in range(L - 1, -1, -1):
+        dW[l] += delta.T @ acts[l]
+        db[l] += delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ net.weights[l]) * Dp[l - 1] + inject[l - 1]
+    return np.concatenate([g.ravel() for g in dW + db])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pairwise_jacobian_term_matches_the_three_operand_contraction(seed):
+    rng = np.random.default_rng(seed)
+    net = MLPPolicy.init(2, 1, width=16, seed=seed, halfwidths=[3.0, 3.0])
+    net.params += 0.3 * rng.standard_normal(net.params.size)
+    X = rng.uniform(-4, 4, size=(32, 2))
+    U = rng.uniform(-1, 1, size=(32, 1))
+    Jt = rng.uniform(-1, 1, size=(32, 1, 2))
+    lam = 0.5
+    grad = net.loss_and_grads(X, U, Jt, lam)[1]
+    ref = _gradient_by_three_operand_einsums(net, X, U, Jt, lam)
+    assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_forward_finite_and_flat_roundtrip():
     net = MLPPolicy.init(2, 1, width=16, seed=0, halfwidths=[10.0, 10.0])
     x = np.array([3.0, -2.0])
     assert np.all(np.isfinite(net(x)))
-    vec = net.flat_params
+    vec = net.params.copy()
     net2 = MLPPolicy.init(2, 1, width=16, seed=99, halfwidths=[10.0, 10.0])
-    net2.flat_params = vec
+    net2.params[:] = vec
     assert np.allclose(net2(x), net(x))
 
 
@@ -41,12 +139,12 @@ def test_network_jacobian_matches_fd():
 
 
 def _num_grad(net, X, U, Jt, lam, direction, h=1e-6):
-    base = net.flat_params.copy()
-    net.flat_params = base + h * direction
+    base = net.params.copy()
+    net.params[:] = base + h * direction
     lp = net.loss_and_grads(X, U, Jt, lam)[0]
-    net.flat_params = base - h * direction
+    net.params[:] = base - h * direction
     lm = net.loss_and_grads(X, U, Jt, lam)[0]
-    net.flat_params = base
+    net.params[:] = base
     return (lp - lm) / (2 * h)
 
 
@@ -56,8 +154,7 @@ def test_backprop_matches_finite_differences(lam):
     X = RNG.uniform(-2, 2, size=(7, 2))
     U = RNG.uniform(-1, 1, size=(7, 1))
     Jt = RNG.uniform(-1, 1, size=(7, 1, 2))
-    loss, dW, db = net.loss_and_grads(X, U, Jt, lam)
-    flat_grad = np.concatenate([g.ravel() for g in dW] + [g.ravel() for g in db])
+    loss, flat_grad = net.loss_and_grads(X, U, Jt, lam)
     for _ in range(20):
         direction = RNG.standard_normal(flat_grad.size)
         direction /= np.linalg.norm(direction)
@@ -67,11 +164,12 @@ def test_backprop_matches_finite_differences(lam):
 
 
 def test_adamw_zero_gradient_contracts_exactly():
-    params = [RNG.standard_normal((4, 3)), RNG.standard_normal(5)]
+    flat = RNG.standard_normal(17)
+    params = [flat[:12].reshape(4, 3), flat[12:]]
     before = [p.copy() for p in params]
-    opt = AdamW(params, lr=0.01, weight_decay=0.1)
+    opt = AdamW(flat, lr=0.01, weight_decay=0.1)
     for _ in range(3):
-        opt.step([np.zeros_like(p) for p in params])
+        opt.step(np.zeros_like(flat))
     factor = (1.0 - 0.01 * 0.1) ** 3
     for p, b in zip(params, before):
         assert np.allclose(p, b * factor, rtol=0, atol=1e-15)
@@ -115,7 +213,7 @@ def test_zero_steps_returns_initialized_network():
     cfg = TrainConfig(steps=0, seed=7, width=16)
     policy, curves = train_imitator(ds, cfg, halfwidths=[5.0, 5.0])
     fresh = MLPPolicy.init(2, 1, width=16, halfwidths=[5.0, 5.0], seed=7)
-    assert np.allclose(policy.flat_params, fresh.flat_params)
+    assert np.allclose(policy.params, fresh.params)
     assert curves["train"].size == 0
 
 
@@ -124,5 +222,5 @@ def test_training_is_bitwise_deterministic():
     cfg = TrainConfig(steps=300, batch_size=32, seed=11, width=16)
     p1, c1 = train_imitator(ds, cfg, halfwidths=[5.0, 5.0])
     p2, c2 = train_imitator(ds, cfg, halfwidths=[5.0, 5.0])
-    assert np.array_equal(p1.flat_params, p2.flat_params)
+    assert np.array_equal(p1.params, p2.params)
     assert np.array_equal(c1["train"], c2["train"])
