@@ -375,40 +375,58 @@ def barrier_hessian(bp: BarrierProblem, sol: BarrierSolution) -> np.ndarray:
     return (-2.0 * bp.eta) * Z.reshape(qp.n, qp.d_x, qp.d_x)
 
 
-def _slice_norms(T: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Spectral norms of T contracted with (cos theta, sin theta), one per angle."""
-    Y = np.stack([np.cos(thetas), np.sin(thetas)])
-    return np.linalg.svd(np.moveaxis(T @ Y, -1, 0), compute_uv=False)[:, 0]
+def _fourier(S0: float, S1: float, S2: float) -> np.ndarray:
+    """S0 + S1 cos psi + S2 sin psi as coefficients of z^-1, z^0, z^1, z = e^{i psi}."""
+    return np.array([(S1 + 1j * S2) / 2, S0, (S1 - 1j * S2) / 2])
+
+
+def _planar_angles(T: np.ndarray) -> np.ndarray:
+    """Angles theta among which ||T (cos theta, sin theta)||_2 takes its maximum.
+
+    With A, B the two slices of T, M(theta) = cos theta A + sin theta B has
+    M^T M = P + Q cos psi + R sin psi at psi = 2 theta, so its trace tr,
+    diagonal difference delta and doubled off-diagonal entry beta are
+    affine in (cos psi, sin psi), and lambda_max = (tr + sqrt(delta^2 +
+    beta^2)) / 2. At a stationary point, squared, tr'^2 (delta^2 + beta^2)
+    = (delta delta' + beta beta')^2: a trigonometric polynomial of degree
+    4, whose roots are those of a degree-8 polynomial in z = e^{i psi}.
+    Where M^T M has rank <= 1 for every theta (or is a multiple of I) the
+    equation vanishes identically and lambda_max is tr / 2 (or tr), so the
+    stationary angle of tr is added, and theta = 0.
+    """
+    S = T / np.abs(T).max()
+    A, B = S[:, :, 0], S[:, :, 1]
+    AA, BB, AB = A.T @ A, B.T @ B, A.T @ B
+    P, Q, R = (AA + BB) / 2, (AA - BB) / 2, (AB + AB.T) / 2
+    tr = _fourier(np.trace(P), np.trace(Q), np.trace(R))
+    delta = _fourier(P[0, 0] - P[1, 1], Q[0, 0] - Q[1, 1], R[0, 0] - R[1, 1])
+    beta = _fourier(2 * P[0, 1], 2 * Q[0, 1], 2 * R[0, 1])
+    d = 1j * np.arange(-1, 2)  # d/dpsi multiplies the coefficient of z^k by i k
+    lhs = np.convolve(np.convolve(d * tr, d * tr), np.convolve(delta, delta) + np.convolve(beta, beta))
+    rhs = np.convolve(delta, d * delta) + np.convolve(beta, d * beta)
+    # coefficients of z^-4 .. z^4; times z^4 they are a polynomial in z
+    roots = np.roots((lhs - np.convolve(rhs, rhs))[::-1])
+    return np.concatenate([[0.0, np.angle(tr[0]) / 2], np.angle(roots) / 2])
 
 
 def tensor_spectral_norm(T: np.ndarray) -> float:
     """max over unit y of the spectral norm of T[:, :, :] contracted with y.
 
-    For 2-D state slots an angular sweep plus refinement is exact enough;
-    otherwise a higher-order power iteration with POWER_RESTARTS seeded
-    random restarts runs on the unfolded tensor.
+    For 2-D state slots the maximum is exact: ``_planar_angles`` gives at
+    most 10 candidate angles, all evaluated in one batched SVD. Otherwise
+    a higher-order power iteration with POWER_RESTARTS seeded random
+    restarts runs on the unfolded tensor.
     """
     T = np.asarray(T, dtype=float)
     d = T.shape[2]
     if d == 1:
         return float(np.linalg.norm(T[:, :, 0], 2))
     if d == 2:
-        thetas = np.linspace(0.0, np.pi, 721)
-        sweep = _slice_norms(T, thetas)
-        best = float(sweep.max())
-        # local refinement around the best angle
-        i = int(np.argmax(sweep))
-        lo, hi = thetas[max(i - 1, 0)], thetas[min(i + 1, len(thetas) - 1)]
-        for _ in range(60):
-            mid1 = lo + (hi - lo) / 3
-            mid2 = hi - (hi - lo) / 3
-            f1, f2 = _slice_norms(T, np.array([mid1, mid2]))
-            if f1 < f2:
-                lo = mid1
-            else:
-                hi = mid2
-            best = max(best, float(f1), float(f2))
-        return best
+        if not T.any():
+            return 0.0
+        thetas = _planar_angles(T)
+        slices = np.moveaxis(T @ np.stack([np.cos(thetas), np.sin(thetas)]), -1, 0)
+        return float(np.linalg.svd(slices, compute_uv=False)[:, 0].max())
     rng = np.random.default_rng(0)
     best = 0.0
     for _ in range(POWER_RESTARTS):

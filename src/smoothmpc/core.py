@@ -336,8 +336,9 @@ class FeasibleRadii:
 def polytope_radii(G: np.ndarray, b: np.ndarray) -> FeasibleRadii:
     """Chebyshev radius and enclosing-ball bounds of {u : G u <= b}.
 
-    R comes from 2n support LPs: the coordinate box [lo, hi] enclosing the
-    polytope, whose farthest corner from the origin bounds max ||u||.
+    R comes from the coordinate box [lo, hi] enclosing the polytope, one
+    LP of 2n support blocks, whose farthest corner from the origin bounds
+    max ||u||; with the Chebyshev LP that is 2 LPs.
     Raises InfeasibleError (with a Farkas certificate) on an empty
     polytope and UnboundedError when some coordinate is unbounded.
     """

@@ -169,13 +169,25 @@ class BarrierExpert:
         return self._solve(x).u_eta[: self.bp.qp.d_u]
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
+        """First inputs at the rows of X, NaN rows where infeasible.
+
+        The rows are solved in a greedy nearest-neighbour tour (from row 0,
+        ties to the lower index), so that each solve warm-starts from a
+        close state, and written back in input order. Afterwards the
+        expert's last solution is that of the tour's last state.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full((X.shape[0], self.bp.qp.d_u), np.nan)
-        for i, x in enumerate(X):
+        left = np.ones(X.shape[0], dtype=bool)
+        i = 0
+        while left.any():
+            left[i] = False
             try:
-                out[i] = self(x)
+                out[i] = self(X[i])
             except InfeasibleError:
                 pass
+            # argmin takes the first of equal distances
+            i = int(np.argmin(np.where(left, np.sum((X - X[i]) ** 2, axis=1), np.inf)))
         return out
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -204,11 +216,14 @@ class Workbench:
                 f"the benchmark sweeps need a 2-D state (a feasible polygon), got d_x = {sys_.d_x}")
         qp = build_condensed(sys_, cost, cons)
         half = float(np.max(np.asarray(config["constraints"].get("state_box", 10.0))))
+        # the radii run before discovery: the first bounding-box LP of a
+        # process leaves a long-lived allocation on the heap, which above
+        # discovery's freed arrays kept them from going back to the system
+        R = feasible_radii(qp, np.zeros(qp.d_x)).R
         grid = state_grid([-half] * qp.d_x, [half] * qp.d_x, resolution)
         coll = discover_pieces(qp, grid)
         table = PieceTableEvaluator(qp, coll)
         projector = PolygonProjector(feasible_polygon(qp))
-        R = feasible_radii(qp, np.zeros(qp.d_x)).R
         return cls(qp=qp, sys=sys_, cost=cost, cons=cons, table=table,
                    projector=projector, outer_radius=R,
                    gain_sigmas=[p.sigma for p in coll.pieces],

@@ -95,10 +95,10 @@ class MLPPolicy:
         its pre-activation; Ms[l + 1] = gelu'(z_l) Qs[l] and Qs[-1] = du/dx."""
         B, d_x = slopes[0].shape[0], self.halfwidths.size
         Ms = [np.broadcast_to(np.diag(1.0 / self.halfwidths), (B, d_x, d_x)).copy()]
-        Qs = [np.einsum("ij,bjk->bik", self.weights[0], Ms[0])]
+        Qs = [np.matmul(self.weights[0], Ms[0])]
         for W, D in zip(self.weights[1:], slopes):
             Ms.append(Qs[-1] * D[:, :, None])
-            Qs.append(np.einsum("ij,bjk->bik", W, Ms[-1]))
+            Qs.append(np.matmul(W, Ms[-1]))
         return Ms, Qs
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:

@@ -8,10 +8,11 @@ that is its own Farkas certificate. Exact active sets at the optimizer
 are required downstream, which rules out interior-point solvers here.
 
 Every linear program of the package runs here, and none serves the QP:
-the Chebyshev-center and support LPs over {z : G z <= b}, with one
-mapping of HiGHS statuses to exceptions, and the Farkas certificate of an
-empty polytope. They give the feasible radii, the bounding box, the
-feasible polygon and the barrier's cold start.
+the Chebyshev-center and support LPs over {z : G z <= b}, the bounding
+box as one LP of 2n independent support blocks, with one mapping of
+HiGHS statuses to exceptions, and the Farkas certificate of an empty
+polytope. They give the feasible radii, the bounding box, the feasible
+polygon and the barrier's cold start.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import partial
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import block_diag
 
 from .errors import InfeasibleError, UnboundedError
 
@@ -50,20 +52,26 @@ class RawQPSolution:
     iterations: int
 
 
-def _solve_lp(c: np.ndarray, A_ub: np.ndarray, G: np.ndarray, b: np.ndarray, bounds: list):
-    """HiGHS LP over rows A_ub <= b that describe {z : G z <= b}.
+def _solve_lp(c: np.ndarray, A_ub, b_ub: np.ndarray, G: np.ndarray, b: np.ndarray,
+              bounds=(None, None)):
+    """HiGHS LP over rows A_ub <= b_ub that describe {z : G z <= b}.
 
     Status 2 raises InfeasibleError with a Farkas certificate for (G, b),
-    computed when first read, status 3 UnboundedError, and any other
-    failure RuntimeError.
+    computed when first read, and status 3 UnboundedError. Any other
+    failure runs the Farkas LP at once: a certificate means the polytope
+    is empty after all, and raises InfeasibleError with it; otherwise the
+    failure raises RuntimeError.
     """
-    res = linprog(c, A_ub=A_ub, b_ub=b, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status == 2:
         raise InfeasibleError("constraint polytope is empty",
                               certificate=partial(farkas_certificate, G, b))
     if res.status == 3:
         raise UnboundedError("constraint polytope is unbounded")
     if not res.success:
+        y = farkas_certificate(G, b)
+        if y is not None:
+            raise InfeasibleError("constraint polytope is empty", certificate=y)
         raise RuntimeError(f"LP failed: {res.message}")
     return res
 
@@ -74,26 +82,30 @@ def chebyshev_center(G: np.ndarray, b: np.ndarray) -> tuple:
     norms = np.linalg.norm(G, axis=1)
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    res = _solve_lp(c, np.hstack([G, norms[:, None]]), G, b, [(None, None)] * n + [(0, None)])
+    res = _solve_lp(c, np.hstack([G, norms[:, None]]), b, G, b, [(None, None)] * n + [(0, None)])
     return res.x[:n], float(res.x[n])
 
 
 def support(G: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     """Maximizer and maximum of c^T z over {z : G z <= b}."""
-    res = _solve_lp(-c, G, G, b, [(None, None)] * G.shape[1])
+    res = _solve_lp(-c, G, b, G, b)
     return res.x, float(-res.fun)
 
 
 def bounding_box(G: np.ndarray, b: np.ndarray) -> tuple:
-    """Coordinate box [lo, hi] enclosing {z : G z <= b}, from 2n support LPs."""
+    """Coordinate box [lo, hi] enclosing {z : G z <= b}, from one LP.
+
+    The LP has 2n independent blocks, each a copy of {z : G z <= b}:
+    block 2j maximizes z_j and block 2j + 1 minimizes it, and HiGHS solves
+    them together. hi[j] and lo[j] are coordinate j of those blocks'
+    solutions, which is each block's optimal value exactly, since its cost
+    has a single entry of +-1.
+    """
     n = G.shape[1]
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        hi[j] = support(G, b, e)[1]
-        lo[j] = -support(G, b, -e)[1]
+    c = np.eye(n)[:, None, :] * [[-1.0], [1.0]]  # c[j, s] is the cost of block 2j + s
+    A_ub = block_diag([G] * (2 * n), format="csr")
+    z = _solve_lp(c.ravel(), A_ub, np.tile(b, 2 * n), G, b).x.reshape(n, 2, n)
+    hi, lo = np.diagonal(z, axis1=0, axis2=2).copy()
     return lo, hi
 
 

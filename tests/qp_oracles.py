@@ -5,6 +5,7 @@
 on a polytope that holds arbitrarily large balls); it returns the same
 ``RawQPSolution`` record. ``dual_ascent_qp`` runs accelerated projected
 gradient on the dual and returns the primal minimizer only.
+``support_loop_box`` is the coordinate box from 2n separate support LPs.
 """
 
 from functools import partial
@@ -148,3 +149,20 @@ def dual_ascent_qp(
         y = lam + ((t - 1.0) / t_new) * (lam - prev)
         prev, t = lam, t_new
     raise RuntimeError(f"dual ascent did not meet the KKT tolerance in {max_iter} iterations")
+
+
+def support_loop_box(G: np.ndarray, b: np.ndarray) -> tuple:
+    """Coordinate box [lo, hi] of {z : G z <= b}, one support LP per direction.
+
+    The oracle of ``smoothmpc.qp.bounding_box``, which solves the 2n LPs as
+    blocks of one; it raises where the first failing direction raises.
+    """
+    n = G.shape[1]
+    lo = np.empty(n)
+    hi = np.empty(n)
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        hi[j] = support(G, b, e)[1]
+        lo[j] = -support(G, b, -e)[1]
+    return lo, hi

@@ -460,6 +460,32 @@ def test_tensor_norm_two_d_matches_per_angle_loop(di_qp, di_radius):
         assert abs(tensor_spectral_norm(T) - ref) <= 1e-12 * ref
 
 
+def assert_exact_planar_norm(T):
+    """The exact d = 2 norm is never below the sweep and within 1e-9 of it."""
+    exact, ref = tensor_spectral_norm(T), sweep_norm_loop(T)
+    assert exact >= ref * (1.0 - 1e-12)
+    assert exact <= ref * (1.0 + 1e-9)
+
+
+def test_tensor_norm_two_d_is_exact_on_random_and_degenerate_tensors():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        assert_exact_planar_norm(10.0 ** rng.uniform(-6, 6) * rng.standard_normal((n, 2, 2)))
+    # rank 1: M(theta)^T M(theta) has rank <= 1 at every angle, so the
+    # stationarity equation vanishes identically
+    for _ in range(10):
+        assert_exact_planar_norm(rng.standard_normal((1, 2, 2)))
+        a, b, c = rng.standard_normal(int(rng.integers(1, 12))), rng.standard_normal(2), rng.standard_normal(2)
+        assert_exact_planar_norm(np.einsum("i,j,k->ijk", a, b, c))
+    # M(theta) = cos theta I + sin theta J with J a rotation by pi/2:
+    # M^T M = I at every angle
+    rot = np.stack([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])], axis=2)
+    assert_exact_planar_norm(3.0 * rot)
+    assert tensor_spectral_norm(3.0 * rot) == pytest.approx(3.0, rel=1e-15)
+    assert tensor_spectral_norm(np.zeros((4, 2, 2))) == 0.0
+
+
 def test_tensor_norm_power_iteration_dominates_sphere_sample():
     from test_warm_start import random_system
 

@@ -5,6 +5,8 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import smoothmpc.experiments
+import smoothmpc.qp
+from smoothmpc.barrier import GRAD_TOL_FACTOR, barrier_hessian, solve_barrier
 from smoothmpc.config import default_config
 from smoothmpc.core import (
     BoxlikeConstraints,
@@ -27,7 +29,9 @@ from smoothmpc.experiments import (
 )
 from smoothmpc.explicit import solve_qp
 from smoothmpc.mlp import TrainConfig
-from smoothmpc.qp import chebyshev_center, support
+from smoothmpc.qp import bounding_box, chebyshev_center, support
+from qp_oracles import support_loop_box
+from test_barrier import assert_exact_planar_norm
 from test_warm_start import random_system
 
 
@@ -217,6 +221,52 @@ def test_barrier_expert_matches_policy(bench):
     assert np.allclose(expert(x), pi_barrier(expert.bp, x))
     J = expert.jacobian(x)
     assert J.shape == (1, 2)
+
+
+def test_barrier_expert_batch_tour_matches_fresh_solves(bench, monkeypatch):
+    # scattered states, solved in a nearest-neighbour tour, each warm
+    # started from the last: fresh per-point solves agree within the
+    # Newton tolerance, 2 (1e-10 (1 + |F^T x|)) / lambda_min(H) by strong
+    # convexity, in input order, with NaN rows at the infeasible states
+    lp_calls = []
+    real = smoothmpc.qp.linprog
+    monkeypatch.setattr(smoothmpc.qp, "linprog",
+                        lambda *a, **k: lp_calls.append(1) or real(*a, **k))
+    X = bench.sample_initial_states(400, seed=17)
+    expert = bench.barrier_expert(0.01)
+    expert.eval_batch(X)
+    assert len(lp_calls) <= 20  # 215 in sampling order
+    X = np.vstack([X[:40], [[8.0, 2.0]], X[40:80], [[12.0, 8.0]]])
+    U = bench.barrier_expert(0.01).eval_batch(X)
+    qp = expert.bp.qp
+    mu = np.linalg.eigvalsh(qp.H).min()
+    for x, u in zip(X, U):
+        try:
+            ref = solve_barrier(expert.bp, x).u_eta[: qp.d_u]
+        except InfeasibleError:
+            assert np.isnan(u).all()
+            continue
+        tol = 2.0 * GRAD_TOL_FACTOR * (1.0 + np.linalg.norm(qp.F.T @ x)) / mu
+        assert np.abs(u - ref).max() <= tol
+    assert np.isnan(U).any(axis=1).nonzero()[0].tolist() == [40, 81]
+
+
+def test_bounding_box_is_the_support_loop_on_sampled_states(bench):
+    for x in bench.sample_initial_states(24, seed=0):
+        b = bench.qp.bounds_rhs(x)
+        lo, hi = bounding_box(bench.qp.G, b)
+        lo_ref, hi_ref = support_loop_box(bench.qp.G, b)
+        assert np.array_equal(lo, lo_ref) and np.array_equal(hi, hi_ref)
+
+
+def test_tensor_norm_is_exact_on_the_bounds_sweep_hessians(bench, monkeypatch):
+    tensors = []
+    monkeypatch.setattr(smoothmpc.experiments, "barrier_hessian",
+                        lambda bp, sol: tensors.append(barrier_hessian(bp, sol)) or tensors[-1])
+    bounds_sweep(bench, default_config()["bounds"]["eta_grid"], n_states=16, seed=0)
+    assert len(tensors) == 80
+    for T in tensors:
+        assert_exact_planar_norm(T)
 
 
 def test_randomized_expert_total_on_infeasible_states(bench):

@@ -128,6 +128,24 @@ def test_raw_qp_matches_oracles_on_random_systems(seed):
             assert np.abs(sol.z - dual_ascent_qp(H, q, G, b)).max() <= 1e-6
 
 
+def test_failed_lp_on_an_empty_polytope_raises_infeasible():
+    # At the first state of hypothesis seed 10842 the polytope is clearly
+    # empty (the QP's certificate has y^T b = -154.5), yet HiGHS ends the
+    # Chebyshev LP with status "Unknown"; the Farkas LP settles it
+    rng = np.random.default_rng(10842)
+    qp = random_system(rng)[1]
+    x0 = rng.uniform(-2.5, 2.5, size=qp.d_x)
+    H, q, G, b = qp.H, -(qp.F.T @ x0), qp.G, qp.bounds_rhs(x0)
+    with pytest.raises(InfeasibleError):
+        raw_solve_qp(H, q, G, b)
+    with pytest.raises(InfeasibleError) as exc:
+        primal_active_set_qp(H, q, G, b)
+    y = exc.value.certificate
+    assert y.min() >= 0
+    assert np.linalg.norm(G.T @ y) <= 1e-7 * max(1.0, np.linalg.norm(y))
+    assert y @ b < 0
+
+
 def test_dual_ascent_oracle_stops_on_its_kkt_residual():
     # At the first state of hypothesis seed 10422 the dual's condition number
     # on the working set is 3e3; a stop on the step size came 1.03e-6 short

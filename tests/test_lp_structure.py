@@ -65,8 +65,9 @@ def test_closed_loop_step_starts_from_shifted_plan(di_qp, lp_calls):
 
 
 def test_radii_lp_count(di_qp, lp_calls):
+    # the Chebyshev LP and one block LP for the whole bounding box
     feasible_radii(di_qp, np.array([1.0, 0.5]))
-    assert len(lp_calls) == 2 * di_qp.n + 1
+    assert len(lp_calls) == 2
 
 
 def test_polygon_lp_count(di_qp, lp_calls):
