@@ -116,10 +116,14 @@ class PolygonProjector:
         self._edge_norm2 = np.einsum("ij,ij->i", self.edges, self.edges)
 
     def inside(self, X: np.ndarray, margin: float = 0.0) -> np.ndarray:
+        """Rows X whose cross product e0 (x1 - v1) - e1 (x0 - v0) with every
+        edge (e0, e1) from vertex (v0, v1) is >= margin, one edge at a time."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        W = X[:, None, :] - self.vertices[None, :, :]
-        cross = self.edges[None, :, 0] * W[:, :, 1] - self.edges[None, :, 1] * W[:, :, 0]
-        return np.all(cross >= margin, axis=1)
+        x0, x1 = np.ascontiguousarray(X[:, 0]), np.ascontiguousarray(X[:, 1])
+        ok = np.ones(X.shape[0], dtype=bool)
+        for (v0, v1), (e0, e1) in zip(self.vertices, self.edges):
+            ok &= e0 * (x1 - v1) - e1 * (x0 - v0) >= margin
+        return ok
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -345,8 +345,12 @@ def _discover_per_point(qp: CondensedQP, grid: np.ndarray) -> PieceCollection:
 
 
 def _bucket_candidates(regions: list, lo: np.ndarray, width: np.ndarray, n: int,
-                       tol_scale: np.ndarray) -> np.ndarray:
-    """cand[r, c]: may region r hold a state of bucket c? Column n**d is "anywhere".
+                       tol_scale: np.ndarray) -> tuple:
+    """Candidate regions of each bucket, and the rows each region can fail there.
+
+    Returns (cand, keep). cand[r, c]: may region r hold a state of bucket
+    c? Column n**d is "anywhere". keep[r]: the rows of region r (primal,
+    then dual) that can fail at a state of one of its candidate buckets.
 
     Each row of a region's test is written as x . a - v <= t, with t the
     test's own tolerance. Region r is ruled out of a box (centre c,
@@ -360,7 +364,10 @@ def _bucket_candidates(regions: list, lo: np.ndarray, width: np.ndarray, n: int,
     candidate there. Blocks of f**d buckets are tested first: a region
     ruled out of a block is ruled out of its buckets, and only rows that
     exceed t somewhere in the remaining blocks are tested per bucket
-    (dropping a row can only add candidates).
+    (dropping a row can only add candidates). Likewise a row whose
+    greatest value over every candidate bucket, c . a + |a| . h - v,
+    stays at or below t minus the rounding bound passes at every state
+    the grid assigns to the region, so it is left out of keep.
     """
     d = lo.size
     eps = np.finfo(float).eps
@@ -379,12 +386,14 @@ def _bucket_candidates(regions: list, lo: np.ndarray, width: np.ndarray, n: int,
     _, block_centers = centers_of(nb, f * width)
     cand = np.zeros((len(regions), n ** d + 1), dtype=bool)
     cand[:, -1] = True
+    keep = []
     for r, region in enumerate(regions):
         A = np.vstack([region.primal_M, -region.dual_M])
         v = np.concatenate([region.primal_v, region.dual_v])
         absA = np.abs(A)
-        t = np.concatenate([tol_scale, np.full(region.dual_v.size, DUAL_TOL)])
-        t += 8 * (d + 1) * eps * (absA @ reach + np.abs(v))
+        tol = np.concatenate([tol_scale, np.full(region.dual_v.size, DUAL_TOL)])
+        err = 8 * (d + 1) * eps * (absA @ reach + np.abs(v))
+        t = tol + err
         mid = block_centers @ A.T - v
         spread = absA @ (0.5 * f * width + pad)
         ok = ~np.any(mid - spread > t, axis=1)
@@ -392,7 +401,27 @@ def _bucket_candidates(regions: list, lo: np.ndarray, width: np.ndarray, n: int,
         near = np.flatnonzero(ok[block])
         low = centers[near] @ A[rows].T - v[rows] - absA[rows] @ (0.5 * width + pad)
         cand[r, near] = ~np.any(low > t[rows], axis=1)
-    return cand
+        high = centers[near[cand[r, near]]] @ A.T - v + absA @ (0.5 * width + pad)
+        keep.append(np.any(high > tol - err, axis=0))
+    return cand, keep
+
+
+def _reduced_test(region: _PieceRegion, tol_scale: np.ndarray, keep: np.ndarray) -> tuple:
+    """(region, tol_scale) cut down to the rows in ``keep`` (primal, then dual).
+
+    A block cut to one row from more gets a dropped row back: BLAS rounds
+    a one-row product through another kernel, whose last bits can differ
+    from the full block's. A dropped row always passes, so this is harmless.
+    """
+    p = region.primal_v.size
+    kp, kd = keep[:p].copy(), keep[p:].copy()
+    for rows in (kp, kd):
+        if rows.sum() == 1 and rows.size > 1:
+            rows[np.argmin(rows)] = True
+    reduced = _PieceRegion(piece=region.piece,
+                           primal_M=region.primal_M[kp], primal_v=region.primal_v[kp],
+                           dual_M=region.dual_M[kd], dual_v=region.dual_v[kd])
+    return reduced, tol_scale[kp]
 
 
 def _finite_state(x) -> np.ndarray:
@@ -409,7 +438,10 @@ class PieceTableEvaluator:
     primal/dual test it passes. A uniform bucket grid over the discovery
     box lists, per bucket, the regions that can hold a state there (a
     superset, so the first match is the same as a scan over every
-    region); states outside the box are tested against every region.
+    region). An in-box state is tested only on the rows of a region that
+    can fail in one of the region's buckets; the others pass there, so the
+    decisions are the full test's. States outside the box are tested
+    against every region, on all of its rows.
     Unmatched states (outside every discovered region, or infeasible) get
     NaN, or on request the per-point QP solution; states that are not
     finite get NaN without a test.
@@ -426,8 +458,12 @@ class PieceTableEvaluator:
         self._lo = lo
         # a one-point grid axis (resolution 1) gets unit-width buckets
         self._width = np.where(hi > lo, (hi - lo) / self._n, 1.0)
-        self._candidates = _bucket_candidates(self._regions, lo, self._width, self._n,
-                                              self._tol_scale)
+        self._candidates, keep = _bucket_candidates(self._regions, lo, self._width, self._n,
+                                                    self._tol_scale)
+        # in-box states take the reduced tests, states outside the box the full ones
+        self._reduced = [_reduced_test(region, self._tol_scale, rows)
+                         for region, rows in zip(self._regions, keep)]
+        self._full = [(region, self._tol_scale) for region in self._regions]
 
     def _cells(self, X: np.ndarray) -> np.ndarray:
         """Bucket index of each row; n**d_x for rows outside the box or not finite."""
@@ -442,18 +478,22 @@ class PieceTableEvaluator:
         """Occupancy-order index of the first region holding each finite row; -1 for none."""
         which = np.full(X.shape[0], -1, dtype=np.intp)
         cells = self._cells(X)
-        todo = np.flatnonzero(np.all(np.isfinite(X), axis=1))
-        seen = np.bincount(cells[todo], minlength=self._candidates.shape[1]) > 0
-        for r in np.flatnonzero(self._candidates[:, seen].any(axis=1)):
-            test = todo[self._candidates[r, cells[todo]]]
-            if test.size == 0:
-                continue
-            hit = test[_region_mask(self._regions[r], X[test], self._tol_scale)]
-            if hit.size:
-                which[hit] = r
-                todo = todo[which[todo] < 0]
+        finite = np.all(np.isfinite(X), axis=1)
+        outside = cells == self._candidates.shape[1] - 1
+        for todo, tests in ((np.flatnonzero(finite & ~outside), self._reduced),
+                            (np.flatnonzero(finite & outside), self._full)):
+            seen = np.bincount(cells[todo], minlength=self._candidates.shape[1]) > 0
+            for r in np.flatnonzero(self._candidates[:, seen].any(axis=1)):
                 if todo.size == 0:
                     break
+                test = todo[self._candidates[r, cells[todo]]]
+                if test.size == 0:
+                    continue
+                region, tol_scale = tests[r]
+                hit = test[_region_mask(region, X[test], tol_scale)]
+                if hit.size:
+                    which[hit] = r
+                    todo = todo[which[todo] < 0]
         return which
 
     def eval_batch(self, X: np.ndarray, fallback: str = "nan") -> np.ndarray:
@@ -464,9 +504,12 @@ class PieceTableEvaluator:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full((X.shape[0], self.qp.d_u), np.nan)
         which = self._locate(X)
-        for r in np.unique(which[which >= 0]):
-            hit = np.flatnonzero(which == r)
-            piece = self._regions[r].piece
+        # one stable sort groups the rows by region, each group in ascending order
+        order = np.argsort(which, kind="stable")
+        for hit in np.split(order, np.flatnonzero(np.diff(which[order])) + 1):
+            if hit.size == 0 or which[hit[0]] < 0:
+                continue
+            piece = self._regions[which[hit[0]]].piece
             U = X[hit] @ piece.K.T + piece.k
             out[hit] = U[:, : self.qp.d_u]
         if fallback == "qp":

@@ -1,14 +1,16 @@
 """Randomized smoothing of policies and the smoothing-tradeoff audit.
 
 A randomized-smoothed policy averages the base policy over zero-mean
-noise around the queried state. Noise draws are regenerated from the
-configured seed on every call, so evaluations are bitwise deterministic
-and different states share common random numbers, which keeps
-finite-difference gradients of the smoothed policy low-variance.
+noise around the queried state. Noise draws depend on the configured
+seed alone (drawn once per family, count, dimension and seed, then
+cached), so evaluations are bitwise deterministic and different states
+share common random numbers, which keeps finite-difference gradients of
+the smoothed policy low-variance.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +85,18 @@ class RandomizedPolicy:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return pi_rs(self.base, self.cfg, x, projector=self.projector)
 
+    @staticmethod
+    @functools.lru_cache(maxsize=16)
+    def _noise(distribution: str, n: int, dim: int, seed: int) -> np.ndarray:
+        """The draws of ``draw_noise`` from ``default_rng(seed)``, drawn once and read-only.
+
+        Cached on the class, not per instance, since ``pi_rs`` builds a
+        fresh policy on every call.
+        """
+        W = draw_noise(distribution, n, dim, np.random.default_rng(seed))
+        W.setflags(write=False)
+        return W
+
     def samples(self, X: np.ndarray) -> np.ndarray:
         """Unprojected noisy states, n_samples per row of X, state by state.
 
@@ -90,8 +104,7 @@ class RandomizedPolicy:
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         d = X.shape[1]
-        rng = np.random.default_rng(self.cfg.seed)
-        W = draw_noise(self.cfg.distribution, self.cfg.n_samples, d, rng)
+        W = self._noise(self.cfg.distribution, self.cfg.n_samples, d, self.cfg.seed)
         return (X[:, None, :] + self.cfg.sigma * W[None, :, :]).reshape(-1, d)
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from smoothmpc.core import (
 )
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import (
+    PolygonProjector,
     Workbench,
     _pmap,
     _sup_error,
@@ -202,6 +203,29 @@ def test_projection_is_idempotent_and_feasible(bench):
     # projected points solve as feasible QPs (slight shrink guards roundoff)
     for p in P[::40]:
         solve_qp(bench.qp, p * (1 - 1e-9))
+
+
+def _inside_broadcast(poly, X, margin=0.0):
+    """Oracle: the (N, V, 2) broadcast form of ``PolygonProjector.inside``."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    W = X[:, None, :] - poly.vertices[None, :, :]
+    cross = poly.edges[None, :, 0] * W[:, :, 1] - poly.edges[None, :, 1] * W[:, :, 0]
+    return np.all(cross >= margin, axis=1)
+
+
+def test_inside_is_the_broadcast_formula_bit_for_bit(bench, planar_polygons):
+    rng = np.random.default_rng(11)
+    for V in [bench.projector.vertices] + [V for _, V, _ in planar_polygons]:
+        poly = PolygonProjector(V)
+        lo, hi = V.min(axis=0), V.max(axis=0)
+        uniform = rng.uniform(lo - 0.3 * (hi - lo), hi + 0.3 * (hi - lo), size=(4000, 2))
+        on_edges = poly(uniform[~_inside_broadcast(poly, uniform)])
+        bad = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+        for X in (uniform, V, on_edges, bad):
+            for margin in (0.0, 1e-9, -1e-9):
+                assert np.array_equal(poly.inside(X, margin), _inside_broadcast(poly, X, margin))
+        # the projected points straddle the edges: both decisions occur
+        assert 0 < poly.inside(on_edges).sum() < on_edges.shape[0]
 
 
 def test_sample_initial_states_deterministic_and_feasible(bench):

@@ -19,6 +19,7 @@ from smoothmpc.core import (
     StageCost,
 )
 from smoothmpc.errors import DegenerateActiveSetError, InfeasibleError
+from smoothmpc.experiments import PolygonProjector, feasible_polygon
 from smoothmpc.explicit import (
     ActiveSet,
     PieceTableEvaluator,
@@ -344,8 +345,10 @@ def _scan_piece(table, x):
 
 def probe_states(rng, table, grid, count):
     """Discovery-grid points (on region facets), bucket corners, states
-    inside and just outside the bucket box, far outside it, and rows with
-    NaN or inf entries."""
+    inside and just outside the bucket box, far outside it, rows with NaN
+    or inf entries and, for a planar state, Gaussian samples projected onto
+    the feasible polygon: the states the smoothing path sends, many of
+    them exactly on its boundary."""
     lo, hi = table.collection.box
     span = hi - lo
     corners = lo + rng.integers(0, table._n + 1, size=(count, lo.size)) * table._width
@@ -358,7 +361,12 @@ def probe_states(rng, table, grid, count):
     bad[4] = np.nan
     bad[5, 0] = np.inf
     picks = grid[rng.choice(grid.shape[0], size=min(count, grid.shape[0]), replace=False)]
-    return np.vstack([picks, corners, near, far, bad])
+    probes = [picks, corners, near, far, bad]
+    if lo.size == 2:
+        poly = PolygonProjector(feasible_polygon(table.qp))
+        centres = poly(rng.uniform(lo, hi, size=(count, 2)))
+        probes.append(poly(centres + 0.1 * span * rng.standard_normal((count, 2))))
+    return np.vstack(probes)
 
 
 def assert_matches_scan(table, X, qp_rows, piece_rows):
@@ -470,7 +478,8 @@ def test_batch_inside_one_bucket_tests_only_its_candidates(di_table, monkeypatch
     _, table = di_table
     candidates = table._candidates[:, :-1]
     cell = int(np.argmax(candidates.sum(axis=0)))
-    allowed = {id(table._regions[r]) for r in np.flatnonzero(candidates[:, cell])}
+    # in-box states are tested against the regions' reduced rows
+    allowed = {id(table._reduced[r][0]) for r in np.flatnonzero(candidates[:, cell])}
     assert 2 <= len(allowed) <= len(table._regions) // 10
     idx = np.array(np.unravel_index(cell, (table._n,) * 2))
     rng = np.random.default_rng(47)
@@ -489,3 +498,66 @@ def test_batch_inside_one_bucket_tests_only_its_candidates(di_table, monkeypatch
     assert 1 <= len(tested) <= len(allowed)
     assert set(tested) <= allowed
     assert len(set(tested)) == len(tested)
+
+
+# --- reduced row tests inside the box ------------------------------------------
+
+def bucket_probes(rng, table, cells):
+    """States in each bucket of ``cells``: interiors, corners and points on
+    the faces of the bucket padded as ``_bucket_candidates`` pads it."""
+    lo, width, n = table._lo, table._width, table._n
+    d = lo.size
+    eps = np.finfo(float).eps
+    pad = 16 * eps * (n * width + np.abs(lo) + np.abs(lo + n * width))
+    low = lo + np.array(np.unravel_index(cells, (n,) * d)).T * width
+    high = low + width
+    inner = low[:, None] + rng.uniform(size=(cells.size, 4, d)) * width
+    pick = np.array(np.meshgrid(*[[0, 1]] * d, indexing="ij")).reshape(d, -1).T
+    corners = np.where(pick[None], high[:, None], low[:, None])
+    faces = low[:, None] - pad + rng.uniform(size=(cells.size, 2 * d, d)) * (width + 2 * pad)
+    for j in range(d):
+        faces[:, 2 * j, j] = low[:, j] - pad[j]
+        faces[:, 2 * j + 1, j] = high[:, j] + pad[j]
+    return np.concatenate([inner, corners, faces], axis=1).reshape(-1, d)
+
+
+def assert_dropped_rows_pass(table, rng):
+    cand, keep = smoothmpc.explicit._bucket_candidates(
+        table._regions, table._lo, table._width, table._n, table._tol_scale)
+    assert np.array_equal(cand, table._candidates)
+    dropped = 0
+    for r, region in enumerate(table._regions):
+        X = bucket_probes(rng, table, np.flatnonzero(cand[r, :-1]))
+        p = region.primal_v.size
+        primal = X @ region.primal_M.T - region.primal_v <= table._tol_scale
+        dual = X @ region.dual_M.T + region.dual_v >= -smoothmpc.explicit.DUAL_TOL
+        assert primal[:, ~keep[r][:p]].all() and dual[:, ~keep[r][p:]].all()
+        dropped += int((~keep[r]).sum())
+    assert dropped > 0
+
+
+def test_dropped_rows_pass_in_every_candidate_bucket(di_table):
+    assert_dropped_rows_pass(di_table[1], np.random.default_rng(53))
+
+
+@pytest.mark.parametrize("d_x", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_dropped_rows_pass_in_every_candidate_bucket_random_systems(d_x, seed):
+    rng = np.random.default_rng(seed)
+    qp = random_system(rng)[1]
+    while qp.d_x != d_x:
+        qp = random_system(rng)[1]
+    grid = state_grid([-2.5] * d_x, [2.5] * d_x, 21 if d_x == 2 else 9)
+    assert_dropped_rows_pass(PieceTableEvaluator(qp, discover_pieces(qp, grid)), rng)
+
+
+def test_reduced_rows_on_the_default_table(di_qp):
+    table = PieceTableEvaluator(di_qp, discover_pieces(
+        di_qp, state_grid([-10, -10], [10, 10], 201)))
+    kept = []
+    for region, (reduced, _) in zip(table._regions, table._reduced):
+        for full, cut in ((region.primal_M, reduced.primal_M), (region.dual_M, reduced.dual_M)):
+            # a one-row product rounds differently from the full block's
+            assert cut.shape[0] != 1 or full.shape[0] == 1
+        kept.append(reduced.primal_v.size + reduced.dual_v.size)
+    assert np.mean(kept) <= 12

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from smoothmpc import smoothing
 from smoothmpc.core import build_condensed, clip_problem
 from smoothmpc.errors import ResolutionError, SmoothingFailureError
 from smoothmpc.smoothing import (
@@ -69,6 +70,26 @@ def test_small_sigma_recovers_base_policy():
         u = pi_rs(Clip(), cfg, np.array([x]))[0]
         # Lipschitz constant 2 times sigma times the mean draw length
         assert abs(u - np.clip(-2.0 * x, -1.0, 1.0)) <= 2 * 1e-4 * np.abs(W).mean() + 1e-15
+
+
+def test_noise_is_drawn_once_for_policies_sharing_a_config(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return draw_noise(*args)
+
+    RandomizedPolicy._noise.cache_clear()
+    monkeypatch.setattr(smoothing, "draw_noise", counting)
+    cfg = SmoothingConfig(sigma=0.3, distribution="uniform-ball", n_samples=300, seed=12)
+    X = np.array([[0.5, -1.0], [2.0, 0.0]])
+    first = RandomizedPolicy(Clip(), cfg).samples(X)
+    second = RandomizedPolicy(Linear(np.eye(2)), cfg).samples(X)
+    assert len(calls) == 1
+    assert np.array_equal(first, second)
+    W = draw_noise("uniform-ball", 300, 2, np.random.default_rng(12))
+    assert np.array_equal(first, (X[:, None, :] + 0.3 * W[None]).reshape(-1, 2))
+    assert not RandomizedPolicy._noise("uniform-ball", 300, 2, 12).flags.writeable
 
 
 def test_determinism_bitwise():
