@@ -49,14 +49,14 @@ def _bench(cfg, resolution=None):
 
 
 def cmd_pieces(cfg, out: Path, seed: int, jobs: int, resolution: int | None) -> int:
-    from .core import build_condensed, load_problem
+    from .core import build_condensed, load_problem, state_halfwidth
     from .explicit import discover_pieces, state_grid
 
     res = resolution or int(cfg["pieces"]["resolution"])
     out.mkdir(parents=True, exist_ok=True)
     sys_, cost, cons = load_problem(cfg)
     qp = build_condensed(sys_, cost, cons)
-    half = float(np.max(np.asarray(cfg["constraints"].get("state_box", 10.0))))
+    half = state_halfwidth(cons)
     counts = {}
     for r in (res, 2 * res - 1):
         coll = discover_pieces(qp, state_grid([-half] * qp.d_x, [half] * qp.d_x, r))

@@ -61,6 +61,10 @@ def validate_config(cfg: dict) -> dict:
     _require(A.ndim == 2 and A.shape[0] == A.shape[1], "system.A must be square")
     _require(B.ndim == 2 and B.shape[0] == A.shape[0], "system.B row count must match A")
     _require(int(merged["cost"]["horizon"]) >= 1, "cost.horizon must be >= 1")
+    cons = merged["constraints"]
+    _require(isinstance(cons, dict), "constraints must be a mapping")
+    extra = sorted(set(cons) - {"state_box", "input_box"})
+    _require(not extra, f"constraints takes only state_box and input_box, got {extra}")
     for name in ("eta_grid", "sigma_grid"):
         grid = merged["smoothness"][name]
         _require(len(grid) > 0 and all(g > 0 for g in grid),

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigurationError, UnboundedError
 from .qp import bounding_box, chebyshev_center
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "feasible_radii",
     "box_constraints",
     "load_problem",
+    "state_halfwidth",
     "double_integrator_problem",
     "clip_problem",
 ]
@@ -366,7 +368,7 @@ def box_constraints(d_x: int, d_u: int, state_bound, input_bound) -> BoxlikeCons
     return BoxlikeConstraints(A_x=A_x, b_x=np.tile(bx, 2), A_u=A_u, b_u=np.tile(bu, 2))
 
 
-def _halfspaces_from_config(entry, dim: int, kind: str):
+def _halfspaces_from_config(entry, dim: int):
     if isinstance(entry, dict) and "A" in entry:
         return np.asarray(entry["A"], dtype=float), np.asarray(entry["b"], dtype=float)
     bound = np.broadcast_to(np.asarray(entry, dtype=float), (dim,)).copy()
@@ -381,8 +383,8 @@ def load_problem(config: dict):
 
         system:       {A: [[...]], B: [[...]]}
         cost:         {Q: [[...]] or [T matrices], R: likewise, horizon: int}
-        constraints:  state_box / input_box scalars or vectors, or explicit
-                      {A: ..., b: ...} halfspace systems under state/input.
+        constraints:  state_box / input_box, each a scalar or per-coordinate
+                      infinity-norm bound, or a halfspace system {A: ..., b: ...}.
     """
     sys = LinearSystem(A=np.asarray(config["system"]["A"], dtype=float),
                        B=np.asarray(config["system"]["B"], dtype=float))
@@ -391,16 +393,24 @@ def load_problem(config: dict):
                      R=np.asarray(cost_cfg["R"], dtype=float),
                      horizon=int(cost_cfg["horizon"]))
     cons_cfg = config["constraints"]
-    if "state_box" in cons_cfg:
-        A_x, b_x = _halfspaces_from_config(cons_cfg["state_box"], sys.d_x, "state")
-    else:
-        A_x, b_x = _halfspaces_from_config(cons_cfg["state"], sys.d_x, "state")
-    if "input_box" in cons_cfg:
-        A_u, b_u = _halfspaces_from_config(cons_cfg["input_box"], sys.d_u, "input")
-    else:
-        A_u, b_u = _halfspaces_from_config(cons_cfg["input"], sys.d_u, "input")
+    A_x, b_x = _halfspaces_from_config(cons_cfg["state_box"], sys.d_x)
+    A_u, b_u = _halfspaces_from_config(cons_cfg["input_box"], sys.d_u)
     cons = BoxlikeConstraints(A_x=A_x, b_x=b_x, A_u=A_u, b_u=b_u)
     return sys, cost, cons
+
+
+def state_halfwidth(cons: BoxlikeConstraints) -> float:
+    """Half-width of the smallest origin-centred cube holding the state polytope.
+
+    It is max(|lo|, |hi|) over the polytope's bounding box [lo, hi] (one
+    LP). Raises ConfigurationError when the state constraints leave some
+    coordinate unbounded, and InfeasibleError when they admit no state.
+    """
+    try:
+        lo, hi = bounding_box(cons.A_x, cons.b_x)
+    except UnboundedError:
+        raise ConfigurationError("the state constraints do not bound the state") from None
+    return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
 
 
 def double_integrator_problem(T: int = 10, state_bound: float = 10.0,

@@ -34,7 +34,7 @@ from .bounds import (
     quadratic_lipschitz,
     residual_lower_bound,
 )
-from .core import CondensedQP, build_condensed, feasible_radii, load_problem
+from .core import CondensedQP, build_condensed, feasible_radii, load_problem, state_halfwidth
 from .errors import ConfigurationError, InfeasibleError
 from .explicit import PieceTableEvaluator, c_constant, discover_pieces, max_gain_norm, state_grid
 from .mlp import TrainConfig, train_imitator
@@ -204,12 +204,9 @@ class Workbench:
 
     qp: CondensedQP
     sys: object
-    cost: object
-    cons: object
     table: PieceTableEvaluator
     projector: PolygonProjector
     outer_radius: float
-    gain_sigmas: list
     state_halfwidth: float = 10.0
 
     @classmethod
@@ -219,18 +216,16 @@ class Workbench:
             raise ConfigurationError(
                 f"the benchmark sweeps need a 2-D state (a feasible polygon), got d_x = {sys_.d_x}")
         qp = build_condensed(sys_, cost, cons)
-        half = float(np.max(np.asarray(config["constraints"].get("state_box", 10.0))))
-        # the radii run before discovery: the first bounding-box LP of a
-        # process leaves a long-lived allocation on the heap, which above
+        # the bounding-box LPs run before discovery: the first of a process
+        # leaves a long-lived allocation on the heap, which above
         # discovery's freed arrays kept them from going back to the system
+        half = state_halfwidth(cons)
         R = feasible_radii(qp, np.zeros(qp.d_x)).R
         grid = state_grid([-half] * qp.d_x, [half] * qp.d_x, resolution)
         coll = discover_pieces(qp, grid)
         table = PieceTableEvaluator(qp, coll)
         projector = PolygonProjector(feasible_polygon(qp))
-        return cls(qp=qp, sys=sys_, cost=cost, cons=cons, table=table,
-                   projector=projector, outer_radius=R,
-                   gain_sigmas=[p.sigma for p in coll.pieces],
+        return cls(qp=qp, sys=sys_, table=table, projector=projector, outer_radius=R,
                    state_halfwidth=half)
 
     def barrier_expert(self, eta: float) -> BarrierExpert:
@@ -473,8 +468,9 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
     skipped = [(float(e), "barrier weight must be positive") for e in eta_grid if e <= 0]
     eta_grid = [float(e) for e in eta_grid if e > 0]
     qp = bench.qp
-    L = max_gain_norm(qp, bench.gain_sigmas)
-    C = c_constant(qp, bench.gain_sigmas)
+    sigmas = [p.sigma for p in bench.table.collection.pieces]
+    L = max_gain_norm(qp, sigmas)
+    C = c_constant(qp, sigmas)
     states = bench.sample_initial_states(4 * n_states, seed=seed)
     rows, reports = [], []
     kept = 0

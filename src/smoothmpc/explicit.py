@@ -176,35 +176,36 @@ def state_grid(lo, hi, resolution: int) -> np.ndarray:
 
 @dataclass
 class _PieceRegion:
+    """The region of a piece as one block of rows x . a - v <= t.
+
+    The primal rows (G K - P) x <= w - G k come first, with tolerance
+    ACTIVE_TOL * (1 + |w|); then the multiplier rows lambda(x) >= 0,
+    negated, with tolerance DUAL_TOL.
+    """
+
     piece: AffinePiece
-    primal_M: np.ndarray  # (G K - P) x <= w - G k  on the region
-    primal_v: np.ndarray
-    dual_M: np.ndarray    # lambda(x) = dual_M x + dual_v >= 0 on the region
-    dual_v: np.ndarray
+    A: np.ndarray
+    v: np.ndarray
+    t: np.ndarray
 
 
 def _region_data(qp: CondensedQP, piece: AffinePiece) -> _PieceRegion:
-    primal_M = qp.G @ piece.K - qp.P
-    primal_v = qp.w - qp.G @ piece.k
+    # lambda(x) = dual_M x + dual_v >= -DUAL_TOL, as -dual_M x - dual_v <= DUAL_TOL
     s = piece.sigma.sigma
-    if s.any():
-        Ms = qp.gram[np.ix_(s, s)]
-        dual_M = np.linalg.solve(Ms, (qp.G @ qp.Hinv_FT)[s] - qp.P[s])
-        dual_v = -np.linalg.solve(Ms, qp.w[s])
-    else:
-        dual_M = np.zeros((0, qp.d_x))
-        dual_v = np.zeros(0)
-    return _PieceRegion(piece=piece, primal_M=primal_M, primal_v=primal_v,
-                        dual_M=dual_M, dual_v=dual_v)
+    Ms = qp.gram[np.ix_(s, s)]
+    dual_M = np.linalg.solve(Ms, (qp.G @ qp.Hinv_FT)[s] - qp.P[s])
+    dual_v = -np.linalg.solve(Ms, qp.w[s])
+    return _PieceRegion(piece=piece, A=np.vstack([qp.G @ piece.K - qp.P, -dual_M]),
+                        v=np.concatenate([qp.w - qp.G @ piece.k, dual_v]),
+                        t=np.concatenate([ACTIVE_TOL * (1.0 + np.abs(qp.w)),
+                                          np.full(dual_v.size, DUAL_TOL)]))
 
 
-def _region_mask(region: _PieceRegion, X: np.ndarray, tol_scale: np.ndarray) -> np.ndarray:
-    primal_ok = np.all(X @ region.primal_M.T - region.primal_v <= tol_scale, axis=1)
-    if region.dual_M.shape[0]:
-        dual_ok = np.all(X @ region.dual_M.T + region.dual_v >= -DUAL_TOL, axis=1)
-    else:
-        dual_ok = np.ones(X.shape[0], dtype=bool)
-    return primal_ok & dual_ok
+def _region_mask(region: _PieceRegion, X: np.ndarray) -> np.ndarray:
+    # in place: a grid-wide test in discovery holds one (N, rows) array, not two
+    Y = X @ region.A.T
+    Y -= region.v
+    return np.all(Y <= region.t, axis=1)
 
 
 @dataclass
@@ -276,7 +277,6 @@ def discover_pieces(qp: CondensedQP, grid: np.ndarray, method: str = "assign") -
 
     N = grid.shape[0]
     status = np.zeros(N, dtype=np.int8)  # 0 unassigned, 1 assigned, -1 infeasible
-    tol_scale = ACTIVE_TOL * (1.0 + np.abs(qp.w))
     sigma_pieces: dict = {}
 
     cursor = 0
@@ -307,7 +307,7 @@ def discover_pieces(qp: CondensedQP, grid: np.ndarray, method: str = "assign") -
             sigma_pieces[key] = [piece, 0]
             region = _region_data(qp, piece)
             todo = status == 0
-            mask = _region_mask(region, grid[todo], tol_scale)
+            mask = _region_mask(region, grid[todo])
             hit = np.flatnonzero(todo)[mask]
             status[hit] = 1
             sigma_pieces[key][1] += hit.size
@@ -344,30 +344,24 @@ def _discover_per_point(qp: CondensedQP, grid: np.ndarray) -> PieceCollection:
                            box=(grid.min(axis=0), grid.max(axis=0)))
 
 
-def _bucket_candidates(regions: list, lo: np.ndarray, width: np.ndarray, n: int,
-                       tol_scale: np.ndarray) -> tuple:
+def _bucket_candidates(regions: list, lo: np.ndarray, width: np.ndarray, n: int) -> tuple:
     """Candidate regions of each bucket, and the rows each region can fail there.
 
     Returns (cand, keep). cand[r, c]: may region r hold a state of bucket
-    c? Column n**d is "anywhere". keep[r]: the rows of region r (primal,
-    then dual) that can fail at a state of one of its candidate buckets.
+    c? Column n**d is "anywhere". keep[r]: the rows of region r that can
+    fail at a state of one of its candidate buckets.
 
-    Each row of a region's test is written as x . a - v <= t, with t the
-    test's own tolerance. Region r is ruled out of a box (centre c,
-    half-widths h) when some row's least value over it,
-    c . a - |a| . h - v, exceeds t plus a bound on the rounding of that
-    value and of x . a - v in the test (dot products of d_x terms with
-    |x|, |c| + h <= reach). Boxes are padded by ``pad``, which covers the
-    rounding of the bucket index in ``PieceTableEvaluator._cells`` and of
-    the box centres (a few eps of n * width, |lo| and |hi|), so every
-    region whose test can pass at a state assigned to a bucket stays a
-    candidate there. Blocks of f**d buckets are tested first: a region
-    ruled out of a block is ruled out of its buckets, and only rows that
-    exceed t somewhere in the remaining blocks are tested per bucket
-    (dropping a row can only add candidates). Likewise a row whose
-    greatest value over every candidate bucket, c . a + |a| . h - v,
-    stays at or below t minus the rounding bound passes at every state
-    the grid assigns to the region, so it is left out of keep.
+    Over a box (centre c, half-widths h) a row's least value is
+    c . a - |a| . h - v and its greatest c . a + |a| . h - v. Region r is
+    ruled out of a bucket when some row's least value exceeds t plus a
+    bound on the rounding of that value and of the test (dot products of
+    d_x terms with |x|, |c| + h <= reach). A row is left out of keep when
+    its greatest value stays at or below t minus that bound in every
+    candidate bucket. Boxes are padded by ``pad`` for the rounding of the
+    bucket index in ``PieceTableEvaluator._cells`` and of the box centres.
+    Blocks of f**d buckets are tested first, and only rows that exceed t
+    somewhere in the remaining blocks are tested per bucket (dropping a
+    row can only add candidates).
     """
     d = lo.size
     eps = np.finfo(float).eps
@@ -388,12 +382,10 @@ def _bucket_candidates(regions: list, lo: np.ndarray, width: np.ndarray, n: int,
     cand[:, -1] = True
     keep = []
     for r, region in enumerate(regions):
-        A = np.vstack([region.primal_M, -region.dual_M])
-        v = np.concatenate([region.primal_v, region.dual_v])
+        A, v = region.A, region.v
         absA = np.abs(A)
-        tol = np.concatenate([tol_scale, np.full(region.dual_v.size, DUAL_TOL)])
         err = 8 * (d + 1) * eps * (absA @ reach + np.abs(v))
-        t = tol + err
+        t = region.t + err
         mid = block_centers @ A.T - v
         spread = absA @ (0.5 * f * width + pad)
         ok = ~np.any(mid - spread > t, axis=1)
@@ -402,26 +394,21 @@ def _bucket_candidates(regions: list, lo: np.ndarray, width: np.ndarray, n: int,
         low = centers[near] @ A[rows].T - v[rows] - absA[rows] @ (0.5 * width + pad)
         cand[r, near] = ~np.any(low > t[rows], axis=1)
         high = centers[near[cand[r, near]]] @ A.T - v + absA @ (0.5 * width + pad)
-        keep.append(np.any(high > tol - err, axis=0))
+        keep.append(np.any(high > region.t - err, axis=0))
     return cand, keep
 
 
-def _reduced_test(region: _PieceRegion, tol_scale: np.ndarray, keep: np.ndarray) -> tuple:
-    """(region, tol_scale) cut down to the rows in ``keep`` (primal, then dual).
+def _reduced_test(region: _PieceRegion, keep: np.ndarray) -> _PieceRegion:
+    """``region`` cut down to the rows in ``keep``.
 
     A block cut to one row from more gets a dropped row back: BLAS rounds
     a one-row product through another kernel, whose last bits can differ
     from the full block's. A dropped row always passes, so this is harmless.
     """
-    p = region.primal_v.size
-    kp, kd = keep[:p].copy(), keep[p:].copy()
-    for rows in (kp, kd):
-        if rows.sum() == 1 and rows.size > 1:
-            rows[np.argmin(rows)] = True
-    reduced = _PieceRegion(piece=region.piece,
-                           primal_M=region.primal_M[kp], primal_v=region.primal_v[kp],
-                           dual_M=region.dual_M[kd], dual_v=region.dual_v[kd])
-    return reduced, tol_scale[kp]
+    keep = keep.copy()
+    if keep.sum() == 1 and keep.size > 1:
+        keep[np.argmin(keep)] = True
+    return _PieceRegion(piece=region.piece, A=region.A[keep], v=region.v[keep], t=region.t[keep])
 
 
 def _finite_state(x) -> np.ndarray:
@@ -452,18 +439,14 @@ class PieceTableEvaluator:
         self.collection = collection
         order = np.argsort(-collection.occupancy, kind="stable")
         self._regions = [_region_data(qp, collection.pieces[i]) for i in order]
-        self._tol_scale = ACTIVE_TOL * (1.0 + np.abs(qp.w))
         lo, hi = (np.asarray(c, dtype=float) for c in collection.box)
         self._n = max(1, round(BUCKET_CELLS ** (1.0 / qp.d_x)))
         self._lo = lo
         # a one-point grid axis (resolution 1) gets unit-width buckets
         self._width = np.where(hi > lo, (hi - lo) / self._n, 1.0)
-        self._candidates, keep = _bucket_candidates(self._regions, lo, self._width, self._n,
-                                                    self._tol_scale)
+        self._candidates, keep = _bucket_candidates(self._regions, lo, self._width, self._n)
         # in-box states take the reduced tests, states outside the box the full ones
-        self._reduced = [_reduced_test(region, self._tol_scale, rows)
-                         for region, rows in zip(self._regions, keep)]
-        self._full = [(region, self._tol_scale) for region in self._regions]
+        self._reduced = [_reduced_test(region, rows) for region, rows in zip(self._regions, keep)]
 
     def _cells(self, X: np.ndarray) -> np.ndarray:
         """Bucket index of each row; n**d_x for rows outside the box or not finite."""
@@ -481,7 +464,7 @@ class PieceTableEvaluator:
         finite = np.all(np.isfinite(X), axis=1)
         outside = cells == self._candidates.shape[1] - 1
         for todo, tests in ((np.flatnonzero(finite & ~outside), self._reduced),
-                            (np.flatnonzero(finite & outside), self._full)):
+                            (np.flatnonzero(finite & outside), self._regions)):
             seen = np.bincount(cells[todo], minlength=self._candidates.shape[1]) > 0
             for r in np.flatnonzero(self._candidates[:, seen].any(axis=1)):
                 if todo.size == 0:
@@ -489,8 +472,7 @@ class PieceTableEvaluator:
                 test = todo[self._candidates[r, cells[todo]]]
                 if test.size == 0:
                     continue
-                region, tol_scale = tests[r]
-                hit = test[_region_mask(region, X[test], tol_scale)]
+                hit = test[_region_mask(tests[r], X[test])]
                 if hit.size:
                     which[hit] = r
                     todo = todo[which[todo] < 0]

@@ -26,7 +26,6 @@ from smoothmpc.core import (
     StageCost,
     build_condensed,
     clip_problem,
-    double_integrator_problem,
 )
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import (
@@ -51,12 +50,6 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def bench():
     return Workbench.from_config(default_config(), resolution=201)
-
-
-@pytest.fixture(scope="module")
-def di_qp():
-    sys_, cost, cons = double_integrator_problem()
-    return build_condensed(sys_, cost, cons)
 
 
 @pytest.fixture(scope="module")

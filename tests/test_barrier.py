@@ -20,7 +20,6 @@ from smoothmpc.core import (
     StageCost,
     box_constraints,
     build_condensed,
-    clip_problem,
     double_integrator_problem,
     feasible_radii,
 )
@@ -30,20 +29,8 @@ from smoothmpc.qp import chebyshev_center
 
 
 @pytest.fixture(scope="module")
-def di_qp():
-    sys_, cost, cons = double_integrator_problem()
-    return build_condensed(sys_, cost, cons)
-
-
-@pytest.fixture(scope="module")
 def di_radius(di_qp):
     return feasible_radii(di_qp, np.zeros(2)).R
-
-
-@pytest.fixture(scope="module")
-def clip_qp():
-    sys_, cost, cons = clip_problem()
-    return build_condensed(sys_, cost, cons)
 
 
 def asym_box_qp():

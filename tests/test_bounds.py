@@ -23,27 +23,15 @@ from smoothmpc.bounds import (
     residual_lower_bound,
     sc_parameter,
 )
-from smoothmpc.core import build_condensed, clip_problem, double_integrator_problem, feasible_radii
+from smoothmpc.core import build_condensed, double_integrator_problem, feasible_radii
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.explicit import c_constant, enumerate_nonsingular_sigmas, max_gain_norm, solve_qp
 from qp_oracles import primal_active_set_qp
 
 
 @pytest.fixture(scope="module")
-def di_qp():
-    sys_, cost, cons = double_integrator_problem()
-    return build_condensed(sys_, cost, cons)
-
-
-@pytest.fixture(scope="module")
 def di_R(di_qp):
     return feasible_radii(di_qp, np.zeros(2)).R
-
-
-@pytest.fixture(scope="module")
-def clip_qp():
-    sys_, cost, cons = clip_problem()
-    return build_condensed(sys_, cost, cons)
 
 
 def test_sc_parameter_values():

@@ -74,6 +74,36 @@ def test_cli_pieces(tmp_path, capsys):
     assert "stable across resolutions: True" in capsys.readouterr().out
 
 
+
+def test_cli_pieces_on_a_halfspace_state_box(tmp_path):
+    # the clip system's state box |x| <= 100, once as a bound and once as halfspaces
+    cfg = dict(TINY)
+    cfg["system"] = {"A": [[2.0]], "B": [[1.0]]}
+    cfg["cost"] = {"Q": [[1.0]], "R": [[1e-4]], "horizon": 1}
+    tables = []
+    for state_box in (100.0, {"A": [[1.0], [-1.0]], "b": [100.0, 100.0]}):
+        cfg["constraints"] = {"state_box": state_box, "input_box": 1.0}
+        path = tmp_path / "clip.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / f"out{len(tables)}"
+        assert main(["pieces", "--config", str(path), "--out", str(out),
+                     "--resolution", "11"]) == 0
+        tables.append((out / "pieces.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_cli_constraints_outside_the_boxes_exit_3(tmp_path, capsys):
+    # halfspaces under constraints.state were merged next to the default
+    # state_box and silently ignored
+    cfg = dict(TINY)
+    cfg["constraints"] = {"state": {"A": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                                    "b": [5.0, 5.0, 5.0, 5.0]}}
+    path = tmp_path / "state.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["pieces", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "['state']" in err
+
 def test_cli_pieces_unstable_count_exit_2(tiny_cfg, tmp_path):
     # the benchmark count has not converged at toy resolutions
     code = main(["pieces", "--config", str(tiny_cfg), "--out", str(tmp_path / "o"),

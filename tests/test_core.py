@@ -17,19 +17,14 @@ from smoothmpc.core import (
     load_problem,
     residuals,
     stacked_maps,
+    state_halfwidth,
 )
-from smoothmpc.errors import InfeasibleError, UnboundedError
+from smoothmpc.errors import ConfigurationError, InfeasibleError, UnboundedError
 from smoothmpc.qp import bounding_box
 from qp_oracles import support_loop_box
 from test_warm_start import random_system
 
 RNG = np.random.default_rng(7)
-
-
-@pytest.fixture(scope="module")
-def di_qp():
-    sys_, cost, cons = double_integrator_problem()
-    return build_condensed(sys_, cost, cons)
 
 
 def test_stacked_maps_hand_example():
@@ -275,6 +270,19 @@ def test_load_problem_roundtrip():
     ref = build_condensed(*double_integrator_problem())
     assert np.allclose(qp.H, ref.H) and np.allclose(qp.G, ref.G) and np.allclose(qp.w, ref.w)
 
+
+
+def test_state_halfwidth_of_boxes_and_halfspaces():
+    unit_u = (np.array([[1.0], [-1.0]]), np.ones(2))
+    assert state_halfwidth(box_constraints(2, 1, 10.0, 1.0)) == 10.0
+    assert state_halfwidth(box_constraints(2, 1, [4.0, 7.5], 1.0)) == 7.5
+    # x <= 1, y <= 2, x + y >= -3: the box is [-5, 1] x [-4, 2]
+    tri = BoxlikeConstraints(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                             np.array([1.0, 2.0, 3.0]), *unit_u)
+    assert abs(state_halfwidth(tri) - 5.0) <= 1e-9
+    slab = BoxlikeConstraints(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.ones(2), *unit_u)
+    with pytest.raises(ConfigurationError, match="do not bound"):
+        state_halfwidth(slab)
 
 def test_clip_problem_policy_shape():
     from smoothmpc.explicit import pi_mpc

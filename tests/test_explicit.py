@@ -37,18 +37,6 @@ from qp_oracles import dual_ascent_qp, primal_active_set_qp
 from test_warm_start import random_system
 
 
-@pytest.fixture(scope="module")
-def di_qp():
-    sys_, cost, cons = double_integrator_problem()
-    return build_condensed(sys_, cost, cons)
-
-
-@pytest.fixture(scope="module")
-def clip_qp():
-    sys_, cost, cons = clip_problem()
-    return build_condensed(sys_, cost, cons)
-
-
 def kkt_ok(qp, x0, sol, tol=1e-8):
     stat = qp.H @ sol.u_star - qp.F.T @ x0 + qp.G.T @ sol.multipliers
     res = residuals(qp, x0, sol.u_star)
@@ -319,7 +307,7 @@ def _scan_oracle(table, X, fallback="qp"):
         for region in table._regions:
             if todo.size == 0:
                 break
-            mask = _region_mask(region, X[todo], table._tol_scale)
+            mask = _region_mask(region, X[todo])
             hit = todo[mask]
             if hit.size:
                 U = X[hit] @ region.piece.K.T + region.piece.k
@@ -338,7 +326,7 @@ def _scan_piece(table, x):
     X = np.asarray(x, dtype=float)[None, :]
     with np.errstate(invalid="ignore"):  # non-finite probes, as in _scan_oracle
         for region in table._regions:
-            if _region_mask(region, X, table._tol_scale)[0]:
+            if _region_mask(region, X)[0]:
                 return region.piece
     return None
 
@@ -409,7 +397,7 @@ def test_non_finite_states_are_never_tested_or_solved(di_table, monkeypatch):
     tested = []
     real = smoothmpc.explicit._region_mask
     monkeypatch.setattr(smoothmpc.explicit, "_region_mask",
-                        lambda region, Y, tol: tested.append(Y) or real(region, Y, tol))
+                        lambda region, Y: tested.append(Y) or real(region, Y))
     monkeypatch.setattr(smoothmpc.explicit, "solve_qp",
                         lambda *a, **k: pytest.fail("a non-finite state reached solve_qp"))
     with warnings.catch_warnings():
@@ -479,7 +467,7 @@ def test_batch_inside_one_bucket_tests_only_its_candidates(di_table, monkeypatch
     candidates = table._candidates[:, :-1]
     cell = int(np.argmax(candidates.sum(axis=0)))
     # in-box states are tested against the regions' reduced rows
-    allowed = {id(table._reduced[r][0]) for r in np.flatnonzero(candidates[:, cell])}
+    allowed = {id(table._reduced[r]) for r in np.flatnonzero(candidates[:, cell])}
     assert 2 <= len(allowed) <= len(table._regions) // 10
     idx = np.array(np.unravel_index(cell, (table._n,) * 2))
     rng = np.random.default_rng(47)
@@ -489,9 +477,9 @@ def test_batch_inside_one_bucket_tests_only_its_candidates(di_table, monkeypatch
     expected = _scan_oracle(table, X, "nan")
     tested = []
 
-    def counting(region, X, tol_scale):
+    def counting(region, X):
         tested.append(id(region))
-        return _region_mask(region, X, tol_scale)
+        return _region_mask(region, X)
 
     monkeypatch.setattr(smoothmpc.explicit, "_region_mask", counting)
     assert np.array_equal(table.eval_batch(X, fallback="nan"), expected, equal_nan=True)
@@ -523,15 +511,13 @@ def bucket_probes(rng, table, cells):
 
 def assert_dropped_rows_pass(table, rng):
     cand, keep = smoothmpc.explicit._bucket_candidates(
-        table._regions, table._lo, table._width, table._n, table._tol_scale)
+        table._regions, table._lo, table._width, table._n)
     assert np.array_equal(cand, table._candidates)
     dropped = 0
     for r, region in enumerate(table._regions):
         X = bucket_probes(rng, table, np.flatnonzero(cand[r, :-1]))
-        p = region.primal_v.size
-        primal = X @ region.primal_M.T - region.primal_v <= table._tol_scale
-        dual = X @ region.dual_M.T + region.dual_v >= -smoothmpc.explicit.DUAL_TOL
-        assert primal[:, ~keep[r][:p]].all() and dual[:, ~keep[r][p:]].all()
+        rows = X @ region.A.T - region.v <= region.t
+        assert rows[:, ~keep[r]].all()
         dropped += int((~keep[r]).sum())
     assert dropped > 0
 
@@ -555,9 +541,126 @@ def test_reduced_rows_on_the_default_table(di_qp):
     table = PieceTableEvaluator(di_qp, discover_pieces(
         di_qp, state_grid([-10, -10], [10, 10], 201)))
     kept = []
-    for region, (reduced, _) in zip(table._regions, table._reduced):
-        for full, cut in ((region.primal_M, reduced.primal_M), (region.dual_M, reduced.dual_M)):
-            # a one-row product rounds differently from the full block's
-            assert cut.shape[0] != 1 or full.shape[0] == 1
-        kept.append(reduced.primal_v.size + reduced.dual_v.size)
+    for region, reduced in zip(table._regions, table._reduced):
+        # a one-row product rounds differently from the full block's
+        assert reduced.A.shape[0] != 1 or region.A.shape[0] == 1
+        kept.append(reduced.v.size)
     assert np.mean(kept) <= 12
+
+
+# --- the one-block region test against the two-block form it replaced ---------
+
+def _two_block_region(qp, piece):
+    """A region as separate blocks: (G K - P) x <= w - G k and
+    lambda(x) = dual_M x + dual_v >= 0."""
+    primal_M = qp.G @ piece.K - qp.P
+    primal_v = qp.w - qp.G @ piece.k
+    s = piece.sigma.sigma
+    if s.any():
+        Ms = qp.gram[np.ix_(s, s)]
+        dual_M = np.linalg.solve(Ms, (qp.G @ qp.Hinv_FT)[s] - qp.P[s])
+        dual_v = -np.linalg.solve(Ms, qp.w[s])
+    else:
+        dual_M = np.zeros((0, qp.d_x))
+        dual_v = np.zeros(0)
+    return primal_M, primal_v, dual_M, dual_v
+
+
+def _two_block_mask(blocks, X, tol_scale):
+    """Each block its own product, so a one-row multiplier block goes through
+    gemv; the one-block test sends it through gemm with the primal rows."""
+    primal_M, primal_v, dual_M, dual_v = blocks
+    primal_ok = np.all(X @ primal_M.T - primal_v <= tol_scale, axis=1)
+    if dual_M.shape[0]:
+        dual_ok = np.all(X @ dual_M.T + dual_v >= -smoothmpc.explicit.DUAL_TOL, axis=1)
+    else:
+        dual_ok = np.ones(X.shape[0], dtype=bool)
+    return primal_ok & dual_ok
+
+
+def _facet_states(blocks, tol_scale, lo, hi):
+    """States within a few ulps of lambda(x) = -DUAL_TOL for a one-row
+    multiplier block, on the part of that line where the primal rows pass:
+    the centre of the largest ball there (an LP), bisected across the line
+    along the multiplier row, then a lattice of -6..6 ulps per coordinate
+    around the last state on the passing side."""
+    from scipy.optimize import linprog
+
+    primal_M, primal_v, dual_M, dual_v = blocks
+    g, c, d = dual_M[0], dual_v[0], dual_M.shape[1]
+    norms = np.linalg.norm(primal_M, axis=1)[:, None]
+    lp = linprog(np.r_[np.zeros(d), -1.0], A_ub=np.hstack([primal_M, norms]),
+                 b_ub=primal_v + tol_scale, A_eq=np.r_[g, 0.0][None, :],
+                 b_eq=[-smoothmpc.explicit.DUAL_TOL - c],
+                 bounds=[*zip(lo, hi), (None, 1.0)], method="highs")
+    step = 0.1 * max(lp.x[d], 1e-3) * g / np.linalg.norm(g)
+    a, b = lp.x[:d] + step, lp.x[:d] - step
+
+    def passes(x):
+        return x @ g + c >= -smoothmpc.explicit.DUAL_TOL
+
+    assert passes(a) and not passes(b)
+    for _ in range(2200):  # at most one halving per binade of each coordinate
+        mid = 0.5 * (a + b)
+        if np.array_equal(mid, a) or np.array_equal(mid, b):
+            break
+        a, b = (mid, b) if passes(mid) else (a, mid)
+    offsets = np.stack(np.meshgrid(*[np.arange(-6, 7)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    out = np.repeat(a[None, :], offsets.shape[0], axis=0)
+    for k in range(1, 7):
+        out = np.where(offsets >= k, np.nextafter(out, np.inf), out)
+        out = np.where(offsets <= -k, np.nextafter(out, -np.inf), out)
+    return out
+
+
+def assert_one_block_matches_two_blocks(table, grid, rng):
+    """Region by region, the one-block test decides as the two-block one on
+    probe states and the discovery grid. On the facet states of a one-row
+    multiplier block the primal rows' values are bit for bit the same, and
+    a decision differs only where the multiplier row, summed in gemm's order
+    here and in gemv's there, rounds to the two sides of its tolerance.
+    Returns the number of one-row multiplier blocks and of such states."""
+    qp = table.qp
+    tol_scale = smoothmpc.explicit.ACTIVE_TOL * (1.0 + np.abs(qp.w))
+    X = np.vstack([probe_states(rng, table, grid, 2000), grid])
+    X = X[np.all(np.isfinite(X), axis=1)]
+    lone = split = 0
+    for region in table._regions:
+        blocks = _two_block_region(qp, region.piece)
+        assert np.array_equal(_region_mask(region, X), _two_block_mask(blocks, X, tol_scale))
+        if blocks[2].shape[0] != 1:
+            continue
+        lone += 1
+        F = _facet_states(blocks, tol_scale, grid.min(axis=0), grid.max(axis=0))
+        Y = F @ region.A.T - region.v
+        assert np.array_equal(Y[:, :-1], F @ blocks[0].T - blocks[1])
+        one, two = Y[:, -1], -(F @ blocks[2].T + blocks[3])[:, 0]
+        terms = np.abs(F) @ np.abs(blocks[2][0]) + np.abs(blocks[3][0])
+        assert np.all(np.abs(one - two) <= 4 * qp.d_x * np.finfo(float).eps * terms)
+        tol = smoothmpc.explicit.DUAL_TOL
+        inside = np.all(Y[:, :-1] <= tol_scale, axis=1)
+        assert (two[inside] <= tol).any() and (two[inside] > tol).any()
+        straddle = ((one <= tol) != (two <= tol)) & inside
+        differ = _region_mask(region, F) != _two_block_mask(blocks, F, tol_scale)
+        assert np.array_equal(differ, straddle)
+        split += int(differ.sum())
+    return lone, split
+
+
+def test_one_block_regions_match_two_blocks_double_integrator(di_qp):
+    grid = state_grid([-10, -10], [10, 10], 201)
+    table = PieceTableEvaluator(di_qp, discover_pieces(di_qp, grid))
+    lone, _ = assert_one_block_matches_two_blocks(table, grid, np.random.default_rng(59))
+    assert len(table._regions) == 97 and lone == 4
+
+
+@pytest.mark.parametrize("d_x", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_block_regions_match_two_blocks_random_systems(d_x, seed):
+    rng = np.random.default_rng(seed)
+    qp = random_system(rng)[1]
+    while qp.d_x != d_x:
+        qp = random_system(rng)[1]
+    grid = state_grid([-2.5] * d_x, [2.5] * d_x, 21 if d_x == 2 else 9)
+    table = PieceTableEvaluator(qp, discover_pieces(qp, grid))
+    assert assert_one_block_matches_two_blocks(table, grid, rng)[0] > 0

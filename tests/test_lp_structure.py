@@ -8,17 +8,11 @@ import pytest
 import smoothmpc
 import smoothmpc.qp
 from smoothmpc.barrier import make_barrier_problem, solve_barrier
-from smoothmpc.core import build_condensed, double_integrator_problem, feasible_radii
+from smoothmpc.core import double_integrator_problem, feasible_radii
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import feasible_polygon
 from smoothmpc.explicit import discover_pieces, solve_qp, state_grid
 from test_experiments import planar_systems
-
-
-@pytest.fixture(scope="module")
-def di_qp():
-    sys_, cost, cons = double_integrator_problem()
-    return build_condensed(sys_, cost, cons)
 
 
 @pytest.fixture
