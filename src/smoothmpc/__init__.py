@@ -6,15 +6,18 @@ quantitative-bound calculators, and the imitation-learning pipeline.
 """
 
 from .barrier import (
+    BarrierBatch,
     BarrierProblem,
     BarrierSolution,
     barrier_hessian,
     barrier_jacobian,
+    barrier_jacobian_batch,
     convex_combination,
     make_barrier_problem,
     pi_barrier,
     recentering_vector,
     solve_barrier,
+    solve_barrier_batch,
 )
 from .core import (
     BoxlikeConstraints,

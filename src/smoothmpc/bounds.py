@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierProblem, _newton, _objective, sc_parameter
+from .barrier import BarrierProblem, _newton, sc_parameter
 from .core import CondensedQP, FeasibleRadii, feasible_radii, polytope_radii
 from .errors import InfeasibleError
 from .qp import bounding_box, chebyshev_center, raw_solve_qp
@@ -207,9 +207,9 @@ def newton_log_barrier(Hq: np.ndarray, lin: np.ndarray, G: np.ndarray, b: np.nda
     if r <= 0:
         raise InfeasibleError("polytope has empty interior")
     scale = 1.0 + float(np.linalg.norm(lin))
-    x, _, _ = _newton(x_init, *_objective(Hq, -lin, np.zeros(G.shape[1]), eta, G, b),
-                      max_iter=max_iter, tol=tol * scale)
-    return x
+    x, _, _ = _newton(x_init[None, :], b[None, :] - x_init @ G.T, Hq, -lin[None, :], eta,
+                      G, np.ascontiguousarray(G.T), b[None, :], np.array([tol * scale]), max_iter)
+    return x[0]
 
 
 def quad_opt_bounds(G: np.ndarray, b: np.ndarray, Hmat: np.ndarray, v: np.ndarray,

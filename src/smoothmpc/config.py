@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .core import constraints_from_config
 from .mlp import TrainConfig
 
 __all__ = ["default_config", "load_config", "validate_config", "config_hash"]
@@ -65,6 +66,10 @@ def validate_config(cfg: dict) -> dict:
     _require(isinstance(cons, dict), "constraints must be a mapping")
     extra = sorted(set(cons) - {"state_box", "input_box"})
     _require(not extra, f"constraints takes only state_box and input_box, got {extra}")
+    try:
+        constraints_from_config(cons, A.shape[0], B.shape[1])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"invalid configuration: constraints: {err}") from None
     for name in ("eta_grid", "sigma_grid"):
         grid = merged["smoothness"][name]
         _require(len(grid) > 0 and all(g > 0 for g in grid),

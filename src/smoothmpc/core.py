@@ -37,6 +37,7 @@ __all__ = [
     "feasible_radii",
     "box_constraints",
     "load_problem",
+    "constraints_from_config",
     "state_halfwidth",
     "double_integrator_problem",
     "clip_problem",
@@ -369,8 +370,14 @@ def box_constraints(d_x: int, d_u: int, state_bound, input_bound) -> BoxlikeCons
 
 
 def _halfspaces_from_config(entry, dim: int):
-    if isinstance(entry, dict) and "A" in entry:
-        return np.asarray(entry["A"], dtype=float), np.asarray(entry["b"], dtype=float)
+    """(A, b) of a config bound: a scalar or per-coordinate box bound, or {A, b}."""
+    if isinstance(entry, dict):
+        if set(entry) != {"A", "b"}:
+            raise ValueError(f"a halfspace system takes the keys A and b, got {sorted(entry)}")
+        A = np.asarray(entry["A"], dtype=float)
+        if A.ndim != 2 or A.shape[1] != dim:
+            raise ValueError(f"halfspace matrix A must have {dim} columns, got shape {A.shape}")
+        return A, np.asarray(entry["b"], dtype=float)
     bound = np.broadcast_to(np.asarray(entry, dtype=float), (dim,)).copy()
     eye = np.eye(dim)
     return np.vstack([eye, -eye]), np.tile(bound, 2)
@@ -392,11 +399,14 @@ def load_problem(config: dict):
     cost = StageCost(Q=np.asarray(cost_cfg["Q"], dtype=float),
                      R=np.asarray(cost_cfg["R"], dtype=float),
                      horizon=int(cost_cfg["horizon"]))
-    cons_cfg = config["constraints"]
-    A_x, b_x = _halfspaces_from_config(cons_cfg["state_box"], sys.d_x)
-    A_u, b_u = _halfspaces_from_config(cons_cfg["input_box"], sys.d_u)
-    cons = BoxlikeConstraints(A_x=A_x, b_x=b_x, A_u=A_u, b_u=b_u)
-    return sys, cost, cons
+    return sys, cost, constraints_from_config(config["constraints"], sys.d_x, sys.d_u)
+
+
+def constraints_from_config(cons_cfg: dict, d_x: int, d_u: int) -> BoxlikeConstraints:
+    """The ``state_box`` and ``input_box`` entries of a config as constraints."""
+    A_x, b_x = _halfspaces_from_config(cons_cfg["state_box"], d_x)
+    A_u, b_u = _halfspaces_from_config(cons_cfg["input_box"], d_u)
+    return BoxlikeConstraints(A_x=A_x, b_x=b_x, A_u=A_u, b_u=b_u)
 
 
 def state_halfwidth(cons: BoxlikeConstraints) -> float:

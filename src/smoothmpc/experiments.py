@@ -19,8 +19,10 @@ from .barrier import (
     BarrierSolution,
     barrier_hessian,
     barrier_jacobian,
+    barrier_jacobian_batch,
     make_barrier_problem,
     solve_barrier,
+    solve_barrier_batch,
     tensor_spectral_norm,
 )
 from .bounds import (
@@ -126,31 +128,46 @@ class PolygonProjector:
         return ok
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
+        """X with the rows outside the polygon replaced by their nearest boundary points.
+
+        A row outside takes, over the edges in order, the first of the
+        least distances to its clamped projections v + t e, t = ((x - v) . e
+        / |e|^2) clipped to [0, 1], one edge at a time; a NaN distance, once
+        met, is kept.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = X.copy()
         todo = ~self.inside(X)
         if not todo.any():
             return out
         P = X[todo]
-        W = P[:, None, :] - self.vertices[None, :, :]
-        t = np.einsum("pej,ej->pe", W, self.edges) / self._edge_norm2[None, :]
-        t = np.clip(t, 0.0, 1.0)
-        proj = self.vertices[None, :, :] + t[:, :, None] * self.edges[None, :, :]
-        d2 = np.sum((P[:, None, :] - proj) ** 2, axis=2)
-        best = np.argmin(d2, axis=1)
-        out[todo] = proj[np.arange(P.shape[0]), best]
+        p0, p1 = np.ascontiguousarray(P[:, 0]), np.ascontiguousarray(P[:, 1])
+        for k, ((v0, v1), (e0, e1)) in enumerate(zip(self.vertices, self.edges)):
+            t = np.clip(((p0 - v0) * e0 + (p1 - v1) * e1) / self._edge_norm2[k], 0.0, 1.0)
+            q0, q1 = v0 + t * e0, v1 + t * e1
+            d2 = (p0 - q0) ** 2 + (p1 - q1) ** 2
+            if k == 0:
+                best, proj = d2, np.stack([q0, q1], axis=1)
+                continue
+            closer = (d2 < best) | (np.isnan(d2) & ~np.isnan(best))
+            best[closer] = d2[closer]
+            proj[closer, 0] = q0[closer]
+            proj[closer, 1] = q1[closer]
+        out[todo] = proj
         return out
 
 
 class BarrierExpert:
     """Barrier control law with its analytic first-input Jacobian.
 
-    The expert keeps its last state and solution: each solve warm-starts
-    from that solution (consecutive rollout states and adjacent scan
-    points are close), and a call at the same state, bit for bit, reuses
-    it, so asking for the input and the Jacobian at a state solves once.
-    Results therefore depend on the order of calls, which every caller
-    fixes; build a fresh expert to replay a sequence.
+    A single state is solved on its own: the expert keeps its last state
+    and solution, each solve warm-starts from that solution (consecutive
+    rollout states are close), and a call at the same state, bit for bit,
+    reuses it, so asking for the input and the Jacobian at a state solves
+    once. These results depend on the order of calls, which every caller
+    fixes; build a fresh expert to replay a sequence. A stack of states is
+    one stacked solve (``solve_barrier_batch``) from cold starts, the same
+    in any order, and leaves the last solution as it was.
     """
 
     def __init__(self, bp: BarrierProblem):
@@ -169,33 +186,31 @@ class BarrierExpert:
         self._last = (x.tobytes(), sol)
         return sol
 
+    def _solutions(self, X: np.ndarray) -> tuple:
+        """(inputs, residuals) at the rows of X, NaN rows where infeasible."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[0] == 1:
+            try:
+                sol = self._solve(X[0])
+            except InfeasibleError:
+                return np.full((1, self.bp.qp.n), np.nan), np.full((1, self.bp.qp.m), np.nan)
+            return sol.u_eta[None, :], sol.phi[None, :]
+        batch = solve_barrier_batch(self.bp, X)
+        return batch.u_eta, batch.phi
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self._solve(x).u_eta[: self.bp.qp.d_u]
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """First inputs at the rows of X, NaN rows where infeasible.
+        """First inputs at the rows of X, NaN rows where infeasible."""
+        return self._solutions(X)[0][:, : self.bp.qp.d_u]
 
-        The rows are solved in a greedy nearest-neighbour tour (from row 0,
-        ties to the lower index), so that each solve warm-starts from a
-        close state, and written back in input order. Afterwards the
-        expert's last solution is that of the tour's last state.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.full((X.shape[0], self.bp.qp.d_u), np.nan)
-        left = np.ones(X.shape[0], dtype=bool)
-        i = 0
-        while left.any():
-            left[i] = False
-            try:
-                out[i] = self(X[i])
-            except InfeasibleError:
-                pass
-            # argmin takes the first of equal distances
-            i = int(np.argmin(np.where(left, np.sum((X - X[i]) ** 2, axis=1), np.inf)))
-        return out
+    def jacobian_batch(self, X: np.ndarray) -> np.ndarray:
+        """First-input Jacobians at the rows of X, shape (N, d_u, d_x), NaN where infeasible."""
+        return barrier_jacobian_batch(self.bp, self._solutions(X)[1])[:, : self.bp.qp.d_u]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return barrier_jacobian(self.bp, self._solve(x))[: self.bp.qp.d_u]
+        return self.jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]
 
 
 @dataclass
@@ -250,39 +265,42 @@ class Workbench:
 
 # --- smoothness measurement -------------------------------------------------
 
-def slice_smoothness(jac_fn, anchor: np.ndarray, direction: np.ndarray,
+def slice_smoothness(jacobians, anchor: np.ndarray, direction: np.ndarray,
                      span: float, coarse_h: float, min_h: float) -> dict:
     """Max Jacobian norm and Jacobian variation along one state-space line.
 
     Scans coarsely, then repeatedly refines windows around the
     REFINE_PEAKS largest variation peaks (quartering the step) until the
     step reaches ``min_h`` or the estimate stabilizes; this resolves
-    features much narrower than the coarse grid without a global fine grid. Points where the Jacobian
-    is unavailable (outside the feasible set) are skipped.
+    features much narrower than the coarse grid without a global fine
+    grid. ``jacobians(X)`` gives the Jacobians at the rows of X, shape
+    (N, d_u, d_x), with NaN where a state has none (outside the feasible
+    set); such points are skipped. The coarse scan is one call, and so are
+    the windows of each refinement level together.
     """
     anchor = np.asarray(anchor, dtype=float)
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
 
-    def scan(ss):
-        jacs = []
-        for s in ss:
-            try:
-                jacs.append(np.atleast_2d(jac_fn(anchor + s * direction)))
-            except InfeasibleError:
-                jacs.append(None)
-        L0_loc = max((float(np.linalg.norm(J, 2)) for J in jacs if J is not None),
-                     default=0.0)
-        cand = []
-        for i in range(len(jacs) - 1):
-            if jacs[i] is None or jacs[i + 1] is None:
-                continue
-            ratio = float(np.linalg.norm(jacs[i + 1] - jacs[i], 2)) / (ss[i + 1] - ss[i])
-            cand.append((0.5 * (ss[i] + ss[i + 1]), ratio))
-        return L0_loc, cand
+    def scan(windows):
+        """Largest Jacobian norm over the windows, and each window's
+        (midpoint, variation ratio) between neighbours that both have one."""
+        ss = np.concatenate(windows)
+        J = np.asarray(jacobians(anchor + ss[:, None] * direction), dtype=float)
+        ok = ~np.isnan(J).any(axis=(1, 2))
+        L0_loc = float(np.linalg.norm(J[ok], 2, axis=(1, 2)).max()) if ok.any() else 0.0
+        ends = np.cumsum([len(w) for w in windows])
+        pair = ok[:-1] & ok[1:]
+        pair[ends[:-1] - 1] = False  # no pair across two windows
+        i = np.flatnonzero(pair)
+        cands = [[] for _ in windows]
+        if i.size:
+            ratios = np.linalg.norm(J[i + 1] - J[i], 2, axis=(1, 2)) / (ss[i + 1] - ss[i])
+            for w, j, ratio in zip(np.searchsorted(ends, i, side="right"), i, ratios):
+                cands[w].append((0.5 * (ss[j] + ss[j + 1]), float(ratio)))
+        return L0_loc, cands
 
-    ss = np.arange(-span, span + coarse_h / 2, coarse_h)
-    L0, cand = scan(ss)
+    L0, (cand,) = scan([np.arange(-span, span + coarse_h / 2, coarse_h)])
     cand.sort(key=lambda t: -t[1])
     L1 = cand[0][1] if cand else 0.0
     centers = [c for c, _ in cand[:REFINE_PEAKS]]
@@ -290,12 +308,12 @@ def slice_smoothness(jac_fn, anchor: np.ndarray, direction: np.ndarray,
     h = coarse_h
     while h / 4.0 >= min_h and centers:
         h_new = h / 4.0
+        L0_loc, cands = scan([np.arange(c - 2.5 * h, c + 2.5 * h + h_new / 2, h_new)
+                              for c in centers])
+        L0 = max(L0, L0_loc)
         improved = 0.0
         new_centers = []
-        for c in centers:
-            ss_loc = np.arange(c - 2.5 * h, c + 2.5 * h + h_new / 2, h_new)
-            L0_loc, cand_loc = scan(ss_loc)
-            L0 = max(L0, L0_loc)
+        for cand_loc in cands:
             if cand_loc:
                 cand_loc.sort(key=lambda t: -t[1])
                 improved = max(improved, cand_loc[0][1])
@@ -316,13 +334,14 @@ PROBE_SLICES = ((np.array([0.0, 1.5]), np.array([1.0, 0.0])),
 SLICE_SPAN = 7.0
 
 
-def expert_smoothness(jac_fn, feature_scale: float) -> dict:
-    """Smoothness along the benchmark's probe slices, resolved to feature_scale."""
+def expert_smoothness(jacobians, feature_scale: float) -> dict:
+    """Smoothness along the benchmark's probe slices, resolved to feature_scale;
+    ``jacobians`` is a batch function, as in ``slice_smoothness``."""
     coarse_h = 0.25
     min_h = float(np.clip(feature_scale / 4.0, 1e-4, coarse_h))
     L0 = L1 = 0.0
     for anchor, direction in PROBE_SLICES:
-        out = slice_smoothness(jac_fn, anchor, direction, SLICE_SPAN, coarse_h, min_h)
+        out = slice_smoothness(jacobians, anchor, direction, SLICE_SPAN, coarse_h, min_h)
         L0 = max(L0, out["L0"])
         L1 = max(L1, out["L1"])
     return {"L0_max": L0, "L1_max": L1}
@@ -398,14 +417,13 @@ class _SmoothnessTask:
             expert = bench.barrier_expert(param)
             # the Jacobian transition width scales like sqrt(eta)
             scale = float(np.clip(0.1 * math.sqrt(param), 2e-3, 0.25))
-            met = expert_smoothness(expert.jacobian, feature_scale=scale)
-            # solved apart from the expert, whose warm-start chain _sup_error continues
+            met = expert_smoothness(expert.jacobian_batch, feature_scale=scale)
             hess = tensor_spectral_norm(barrier_hessian(expert.bp,
                                                         solve_barrier(expert.bp, probe)))
         else:
             expert = bench.randomized_expert(param, n_samples=self.n_samples, seed=self.seed)
             h_fd = max(param / 20.0, 1e-4)
-            met = expert_smoothness(lambda x: expert.jacobian(x, h=h_fd),
+            met = expert_smoothness(lambda X: expert.jacobian_batch(X, h=h_fd),
                                     feature_scale=param)
             hess = float("nan")
             projected = float(1.0 - bench.projector.inside(expert.samples(pts)).mean())

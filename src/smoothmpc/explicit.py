@@ -515,18 +515,33 @@ class PieceTableEvaluator:
         r = self._locate(np.asarray(x, dtype=float)[None, :])[0]
         return self._regions[r].piece if r >= 0 else None
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """First-input gain rows of the piece active at x.
+    def jacobian_batch(self, X: np.ndarray) -> np.ndarray:
+        """First-input gain rows of the piece active at each row of X, shape (N, d_u, d_x).
 
-        At region boundaries this returns the first matching piece's gain;
-        the law is not differentiable there.
+        A state outside every discovered region takes the gain of its
+        per-point QP's active set; infeasible and non-finite states get NaN.
+        At region boundaries this is the first matching piece's gain; the
+        law is not differentiable there.
         """
-        x = _finite_state(x)
-        piece = self.piece_at(x)
-        if piece is None:
-            sol = solve_qp(self.qp, x)
-            piece = gain_for_sigma(self.qp, sol.sigma)
-        return piece.K[: self.qp.d_u]
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        out = np.full((X.shape[0], self.qp.d_u, self.qp.d_x), np.nan)
+        which = self._locate(X)
+        for r in np.unique(which[which >= 0]):
+            out[which == r] = self._regions[r].piece.K[: self.qp.d_u]
+        for i in np.flatnonzero((which < 0) & np.all(np.isfinite(X), axis=1)):
+            try:
+                sol = solve_qp(self.qp, X[i])
+            except InfeasibleError:
+                continue
+            out[i] = gain_for_sigma(self.qp, sol.sigma).K[: self.qp.d_u]
+        return out
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """``jacobian_batch`` at the finite state x; raises InfeasibleError outside the feasible set."""
+        J = self.jacobian_batch(_finite_state(x)[None, :])[0]
+        if np.any(np.isnan(J)):
+            raise InfeasibleError("state outside the feasible set")
+        return J
 
 
 def enumerate_nonsingular_sigmas(qp: CondensedQP):

@@ -126,13 +126,19 @@ class RandomizedPolicy:
                 f"{failed[worst]:.0%} of smoothing samples failed to evaluate at state {worst}")
         return np.nanmean(vals, axis=1)
 
+    def jacobian_batch(self, X: np.ndarray, h: float = 1e-4) -> np.ndarray:
+        """Central differences at the rows of X, shape (N, d_u, d_x), with the
+        same noise draws on both sides; every state's stencil goes into one
+        ``eval_batch``."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        N, d = X.shape
+        step = h * np.eye(d)
+        stencil = np.concatenate([X[:, None, :] + step, X[:, None, :] - step], axis=1)
+        vals = self.eval_batch(stencil.reshape(-1, d)).reshape(N, 2 * d, -1)
+        return np.swapaxes(vals[:, :d] - vals[:, d:], 1, 2) / (2.0 * h)
+
     def jacobian(self, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-        """Central differences with the same noise draws on both sides."""
-        x = np.asarray(x, dtype=float)
-        d = x.shape[0]
-        stencil = np.vstack([x + h * np.eye(d), x - h * np.eye(d)])
-        vals = self.eval_batch(stencil)
-        return (vals[:d] - vals[d:]).T / (2.0 * h)
+        return self.jacobian_batch(np.asarray(x, dtype=float)[None, :], h=h)[0]
 
 
 def tradeoff_audit(xs: np.ndarray, original: np.ndarray, smoothed: np.ndarray,

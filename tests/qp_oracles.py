@@ -6,6 +6,8 @@ on a polytope that holds arbitrarily large balls); it returns the same
 ``RawQPSolution`` record. ``dual_ascent_qp`` runs accelerated projected
 gradient on the dual and returns the primal minimizer only.
 ``support_loop_box`` is the coordinate box from 2n separate support LPs.
+``interior_radius`` is the Chebyshev-LP feasibility test that the barrier
+solve ran before its Newton phase I replaced it.
 """
 
 from functools import partial
@@ -166,3 +168,21 @@ def support_loop_box(G: np.ndarray, b: np.ndarray) -> tuple:
         hi[j] = support(G, b, e)[1]
         lo[j] = -support(G, b, -e)[1]
     return lo, hi
+
+
+def interior_radius(G: np.ndarray, b: np.ndarray) -> float:
+    """Chebyshev radius of {z : G z <= b}; -inf when it is empty.
+
+    Rows of G that are identically zero are left out of the LP: the
+    polytope is empty when one of their offsets is negative, and has no
+    interior when one is zero.
+    """
+    active = np.linalg.norm(G, axis=1) > 0.0
+    if np.any(b[~active] < 0.0):
+        return -np.inf
+    if np.any(b[~active] == 0.0):
+        return 0.0
+    try:
+        return chebyshev_center(G[active], b[active])[1]
+    except InfeasibleError:
+        return -np.inf

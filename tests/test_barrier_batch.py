@@ -1,0 +1,103 @@
+"""The stacked barrier solve against row-by-row solves and a Chebyshev-LP oracle."""
+
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smoothmpc.barrier import (
+    barrier_jacobian,
+    barrier_jacobian_batch,
+    make_barrier_problem,
+    solve_barrier,
+    solve_barrier_batch,
+)
+from smoothmpc.errors import InfeasibleError
+from smoothmpc.experiments import feasible_polygon
+from qp_oracles import interior_radius
+from test_warm_start import random_system, tolerance
+
+# the oracle's verdict is taken as clear outside (EMPTY, CLEAR) times the
+# offsets' scale; between, the LP's own tolerances decide
+EMPTY = 1e-11
+CLEAR = 1e-6
+
+
+def boundary_state(qp, direction):
+    """The last state along ``direction`` whose input polytope is nonempty, by bisection."""
+    def nonempty(x):
+        return interior_radius(qp.G, qp.bounds_rhs(x)) >= 0.0
+
+    lo, hi = 0.0, 1.0
+    while nonempty(hi * direction):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if nonempty(mid * direction) else (lo, mid)
+    return lo * direction
+
+
+def mixed_states(rng, qp):
+    """Interior states, cold ones (u = 0 infeasible), states with an input
+    polytope of empty interior (on the boundary of the feasible set) and
+    infeasible ones, shuffled into one stack."""
+    rays = rng.standard_normal((6, qp.d_x))
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    edge = np.array([boundary_state(qp, d) for d in rays])
+    states = [0.02 * edge, rng.uniform(0.3, 0.95, (6, 1)) * edge, 1.5 * edge]
+    if qp.d_x == 2:
+        states.append(feasible_polygon(qp))
+    else:
+        states.append(edge)
+    X = np.vstack(states)
+    return X[rng.permutation(X.shape[0])]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_stacked_solve_matches_row_by_row_solves_and_the_lp_oracle(seed):
+    rng = np.random.default_rng(seed)
+    _, qp = random_system(rng)
+    bp = make_barrier_problem(qp, float(10.0 ** rng.uniform(-3, 0)), outer_radius=1.0)
+    X = mixed_states(rng, qp)
+    batch = solve_barrier_batch(bp, X)
+    J = barrier_jacobian_batch(bp, batch.phi)
+    kinds = set()
+    for i, x in enumerate(X):
+        b = qp.bounds_rhs(x)
+        r = interior_radius(qp.G, b)
+        scale = 1.0 + np.max(np.abs(b) / np.maximum(np.linalg.norm(qp.G, axis=1), 1e-300))
+        try:
+            seq = solve_barrier(bp, x)
+        except InfeasibleError:
+            seq = None
+        if seq is None:
+            assert batch.errors[i] is not None and np.isnan(batch.u_eta[i]).all()
+            assert np.isnan(J[i]).all()
+            assert r <= CLEAR * scale, (i, r)
+            kinds.add("empty" if r < 0 else "no interior")
+            continue
+        assert batch.errors[i] is None and r >= EMPTY * scale, (i, r)
+        assert np.all(batch.phi[i] > 0)
+        err = float(np.linalg.norm(batch.u_eta[i] - seq.u_eta))
+        row = SimpleNamespace(grad_norm=batch.grad_norm[i])
+        assert err <= tolerance(qp, x, seq, row), (i, err)
+        Jseq = barrier_jacobian(bp, seq)
+        assert np.abs(J[i] - Jseq).max() <= 1e-6 * (1.0 + np.abs(Jseq).max())
+        kinds.add("cold" if b[np.linalg.norm(qp.G, axis=1) > 0].min() <= 0 else "interior")
+    assert {"interior", "empty", "no interior"} <= kinds
+
+
+def test_infeasible_rows_keep_a_lazy_certificate(di_qp):
+    bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=np.sqrt(10.0))
+    X = np.array([[0.0, 0.0], [0.0, 9.9], [1.0, -2.0], [12.0, 8.0]])
+    batch = solve_barrier_batch(bp, X)
+    assert [e is None for e in batch.errors] == [True, False, True, False]
+    for i in (1, 3):
+        y = batch.errors[i].certificate
+        assert y is not None and y.shape == (di_qp.m,) and y.min() >= 0
+        assert np.linalg.norm(di_qp.G.T @ y) <= 1e-6 * np.linalg.norm(y)
+        assert y @ di_qp.bounds_rhs(X[i]) < 0
+    for i in (0, 2):
+        assert np.linalg.norm(batch.u_eta[i] - solve_barrier(bp, X[i]).u_eta) <= 1e-9

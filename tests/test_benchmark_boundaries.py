@@ -4,7 +4,8 @@
 and raises for a name that is bound nowhere, so renaming or deleting one
 of them breaks every benchmark run. This test installs the tracer as the
 benchmark does, without editing it, and checks that each boundary was
-patched and that uninstalling restores every original binding.
+patched and that uninstalling restores every original binding. The
+counters it reads from results also run here, on real ones.
 """
 
 import importlib
@@ -66,3 +67,43 @@ def test_tracer_patches_every_boundary_and_restores_them():
     after = _bindings(boundaries)
     assert after.keys() == before.keys()
     assert [key for key, val in before.items() if after[key] is not val] == []
+
+
+def test_counters_read_real_results(di_qp):
+    # the tracer's counters run on what the package returns: a stacked
+    # newton_iters would make int() raise in every benchmark run
+    import numpy as np
+
+    from smoothmpc.barrier import make_barrier_problem, solve_barrier
+    from smoothmpc.errors import InfeasibleError
+    from smoothmpc.experiments import slice_smoothness
+    from smoothmpc.explicit import PieceTableEvaluator, discover_pieces, state_grid
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=np.sqrt(10.0))
+    x0 = np.array([1.0, -2.0])
+    sol = solve_barrier(bp, x0)
+    counts = {}
+    tracing._count_solve(tracer, (bp, x0), {}, sol, counts)
+    assert counts == {"newton_iters": sol.newton_iters} and type(sol.newton_iters) is int
+    bad = np.array([0.0, 9.9])
+    try:
+        solve_barrier(bp, bad)
+    except InfeasibleError as err:
+        tracing._solve_error(tracer, (bp,), {"x0": bad}, err, counts)
+    assert counts["failures"] == 1  # the default tracer calls every state strictly feasible
+
+    table = PieceTableEvaluator(di_qp, discover_pieces(di_qp, state_grid([-10, -10], [10, 10], 21)))
+    X = np.random.default_rng(0).uniform(-12.0, 12.0, size=(50, 2))
+    U = table.eval_batch(X)
+    counts = {}
+    tracing._count_table(tracer, (table, X), {}, U, counts)
+    assert counts == {"points": 50, "nan_rows": int(np.isnan(U).any(axis=1).sum())}
+    assert 0 < counts["nan_rows"] < 50
+
+    counts = {}
+    args, kwargs = tracing._count_jacobian_evals(
+        tracer, (table.jacobian_batch, np.zeros(2), np.ones(2), 1.0, 0.25, 0.25), {}, counts)
+    slice_smoothness(*args, **kwargs)
+    assert counts == {"jacobian_evals": 1}  # the coarse scan, in one call

@@ -104,6 +104,20 @@ def test_cli_constraints_outside_the_boxes_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "['state']" in err
 
+@pytest.mark.parametrize("state_box", [{"A": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], "b": [5.0, 5.0]},
+                                       {"b": [5.0, 5.0]}])
+def test_cli_malformed_halfspaces_exit_3(tmp_path, capsys, state_box):
+    # a row count that does not match b, and a system without A, are
+    # refused when the config is read, not by a traceback later
+    cfg = dict(TINY)
+    cfg["constraints"] = {"state_box": state_box, "input_box": 1.0}
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["pieces", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--resolution", "5"]) == 3
+    assert capsys.readouterr().err.startswith("configuration error: invalid configuration: constraints")
+
+
 def test_cli_pieces_unstable_count_exit_2(tiny_cfg, tmp_path):
     # the benchmark count has not converged at toy resolutions
     code = main(["pieces", "--config", str(tiny_cfg), "--out", str(tmp_path / "o"),

@@ -228,6 +228,37 @@ def test_inside_is_the_broadcast_formula_bit_for_bit(bench, planar_polygons):
         assert 0 < poly.inside(on_edges).sum() < on_edges.shape[0]
 
 
+def _project_broadcast(poly, X):
+    """Oracle: the (P, V, 2) broadcast form of ``PolygonProjector.__call__``."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = X.copy()
+    todo = ~poly.inside(X)
+    P = X[todo]
+    W = P[:, None, :] - poly.vertices[None, :, :]
+    t = np.einsum("pej,ej->pe", W, poly.edges) / poly._edge_norm2[None, :]
+    proj = poly.vertices[None, :, :] + np.clip(t, 0.0, 1.0)[:, :, None] * poly.edges[None, :, :]
+    d2 = np.sum((P[:, None, :] - proj) ** 2, axis=2)
+    out[todo] = proj[np.arange(P.shape[0]), np.argmin(d2, axis=1)]
+    return out
+
+
+def test_projection_is_the_broadcast_formula_bit_for_bit(bench, planar_polygons):
+    rng = np.random.default_rng(12)
+    big = rng.uniform(-12.0, 12.0, size=(200_000, 2))
+    poly = bench.projector
+    assert np.array_equal(poly(big), _project_broadcast(poly, big))
+    for V in [bench.projector.vertices] + [V for _, V, _ in planar_polygons]:
+        poly = PolygonProjector(V)
+        lo, hi = V.min(axis=0), V.max(axis=0)
+        uniform = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), size=(4000, 2))
+        # points just outside the vertices, where two edges tie or nearly tie
+        corners = V * (1.0 + 1e-12) + 1e-12
+        bad = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf], [np.inf, np.inf]])
+        for X in (uniform, V, corners, bad):
+            with np.errstate(invalid="ignore"):  # inf - inf in the bad rows
+                assert np.array_equal(poly(X), _project_broadcast(poly, X), equal_nan=True)
+
+
 def test_sample_initial_states_deterministic_and_feasible(bench):
     a = bench.sample_initial_states(25, seed=7)
     b = bench.sample_initial_states(25, seed=7)
@@ -247,11 +278,11 @@ def test_barrier_expert_matches_policy(bench):
     assert J.shape == (1, 2)
 
 
-def test_barrier_expert_batch_tour_matches_fresh_solves(bench, monkeypatch):
-    # scattered states, solved in a nearest-neighbour tour, each warm
-    # started from the last: fresh per-point solves agree within the
-    # Newton tolerance, 2 (1e-10 (1 + |F^T x|)) / lambda_min(H) by strong
-    # convexity, in input order, with NaN rows at the infeasible states
+def test_barrier_expert_stacked_batch_matches_fresh_solves(bench, monkeypatch):
+    # scattered states in one stacked solve, with no LP: fresh per-point
+    # solves agree within the Newton tolerance, 2 (1e-10 (1 + |F^T x|)) /
+    # lambda_min(H) by strong convexity, in input order, with NaN rows at
+    # the infeasible states
     lp_calls = []
     real = smoothmpc.qp.linprog
     monkeypatch.setattr(smoothmpc.qp, "linprog",
@@ -259,7 +290,7 @@ def test_barrier_expert_batch_tour_matches_fresh_solves(bench, monkeypatch):
     X = bench.sample_initial_states(400, seed=17)
     expert = bench.barrier_expert(0.01)
     expert.eval_batch(X)
-    assert len(lp_calls) <= 20  # 215 in sampling order
+    assert len(lp_calls) == 0
     X = np.vstack([X[:40], [[8.0, 2.0]], X[40:80], [[12.0, 8.0]]])
     U = bench.barrier_expert(0.01).eval_batch(X)
     qp = expert.bp.qp
@@ -301,8 +332,8 @@ def test_randomized_expert_total_on_infeasible_states(bench):
 
 def test_slice_smoothness_refines_narrow_feature():
     # kink of width ~1e-3 must be resolved from a 0.25 coarse grid
-    def jac(x):
-        return np.array([[np.tanh(x[0] / 1e-3)]])
+    def jac(X):
+        return np.tanh(X[:, 0] / 1e-3)[:, None, None]
 
     out = slice_smoothness(jac, np.zeros(1), np.ones(1), span=2.0,
                            coarse_h=0.25, min_h=2e-4)
@@ -378,13 +409,13 @@ def test_slice_smoothness_linear_law():
         cols = [(K @ (x + h * e) - K @ (x - h * e)) / (2 * h) for e in np.eye(2)]
         return np.stack(cols, axis=1)
 
-    out = expert_smoothness(fd_jacobian, feature_scale=0.1)
+    out = expert_smoothness(lambda X: np.stack([fd_jacobian(x) for x in X]), feature_scale=0.1)
     assert abs(out["L0_max"] - np.linalg.norm(K, 2)) <= 1e-6
     assert out["L1_max"] <= 1e-6
 
 
 def test_slice_smoothness_explicit_grows_with_resolution(bench):
-    vals = [expert_smoothness(bench.table.jacobian, feature_scale=s)["L1_max"]
+    vals = [expert_smoothness(bench.table.jacobian_batch, feature_scale=s)["L1_max"]
             for s in (1.0, 0.01)]
     assert vals[1] >= vals[0]  # kinks make the estimate grow as the step shrinks
     assert vals[1] > 1.0
@@ -394,16 +425,16 @@ def test_slice_smoothness_barrier_monotone_in_eta(bench):
     last = np.inf
     for eta in (0.1, 1.0, 10.0):
         scale = float(np.clip(0.1 * np.sqrt(eta), 2e-3, 0.25))
-        L1 = expert_smoothness(bench.barrier_expert(eta).jacobian, feature_scale=scale)["L1_max"]
+        L1 = expert_smoothness(bench.barrier_expert(eta).jacobian_batch, feature_scale=scale)["L1_max"]
         assert L1 <= last * 1.05
         last = L1
 
 
 def test_small_smoothing_approaches_explicit_metrics(bench):
-    explicit_met = expert_smoothness(bench.table.jacobian, feature_scale=0.02)
+    explicit_met = expert_smoothness(bench.table.jacobian_batch, feature_scale=0.02)
     b_exp = bench.barrier_expert(1e-4)
-    met_b = expert_smoothness(b_exp.jacobian, feature_scale=0.02)
+    met_b = expert_smoothness(b_exp.jacobian_batch, feature_scale=0.02)
     assert abs(met_b["L0_max"] - explicit_met["L0_max"]) <= 0.05 * explicit_met["L0_max"]
     r_exp = bench.randomized_expert(1e-3, n_samples=400, seed=0)
-    met_r = expert_smoothness(lambda x: r_exp.jacobian(x, h=1e-4), feature_scale=0.02)
+    met_r = expert_smoothness(lambda X: r_exp.jacobian_batch(X, h=1e-4), feature_scale=0.02)
     assert abs(met_r["L0_max"] - explicit_met["L0_max"]) <= 0.05 * explicit_met["L0_max"]

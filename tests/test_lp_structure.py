@@ -29,15 +29,15 @@ def lp_calls(monkeypatch):
 
 
 def test_barrier_solve_lp_counts(di_qp, lp_calls):
-    # the Chebyshev LP runs only when none of the warm start, its shifted
-    # tail and u = 0 is strictly feasible
+    # when none of the warm start, its shifted tail and u = 0 is strictly
+    # feasible, a Newton phase I finds a start, with no LP
     bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=np.sqrt(10.0))
     solve_barrier(bp, np.zeros(2))
     assert len(lp_calls) == 0
     x0 = np.array([1.0, -2.0])
     assert di_qp.bounds_rhs(x0).min() < 0  # u = 0 is infeasible here
     cold = solve_barrier(bp, x0)
-    assert len(lp_calls) == 1
+    assert len(lp_calls) == 0
     lp_calls.clear()
     solve_barrier(bp, x0 + 1e-3, warm=cold.u_eta)
     assert len(lp_calls) == 0
@@ -93,11 +93,11 @@ def test_infeasible_solve_defers_certificate_lp(di_qp, lp_calls):
     bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=np.sqrt(10.0))
     with pytest.raises(InfeasibleError) as exc:
         solve_barrier(bp, np.array([0.0, 9.9]))
-    assert len(lp_calls) == 1  # the Chebyshev LP
+    assert len(lp_calls) == 0  # phase I decides, with no LP
     assert exc.value.certificate is not None
-    assert len(lp_calls) == 2  # the Farkas LP, run when the certificate is read
+    assert len(lp_calls) == 1  # the Farkas LP, run when the certificate is read
     assert exc.value.certificate is not None
-    assert len(lp_calls) == 2  # and kept
+    assert len(lp_calls) == 1  # and kept
 
 
 def test_only_qp_module_mentions_linprog():
@@ -109,8 +109,8 @@ def test_only_qp_module_mentions_linprog():
 
 
 def test_log_barrier_objective_is_written_once():
-    # every Newton solve (the barrier solve and the quad-opt oracle)
-    # builds its objective from barrier._objective
+    # every Newton solve (the barrier solve, its phase I and the quad-opt
+    # oracle) evaluates its objective in barrier._values
     root = pathlib.Path(smoothmpc.__file__).parent
     counts = {p.name: p.read_text().count("np.sum(np.log(") for p in sorted(root.glob("*.py"))}
     assert {name: c for name, c in counts.items() if c} == {"barrier.py": 1}
