@@ -395,7 +395,9 @@ def _solve_states(bp: BarrierProblem, X: np.ndarray, warm, record) -> BarrierBat
     Each row starts from the first strictly feasible of its ``warm`` row
     (an input sequence, typically the solution at a nearby state or eta),
     that row shifted by one input block, and u = 0, the exact minimizer at
-    x0 = 0. Rows with none of them run ``_phase_one`` together, and rows
+    x0 = 0; a start within PHASE_ONE_FLOOR of a facet, in the scale of
+    ``_phase_one``, does not count. Rows with none of them run
+    ``_phase_one`` together, and rows
     with no strict interior are marked in ``errors``: their Farkas
     certificate runs its LP only when read. Then one Newton
     (``_newton``) runs over every solved row. Raises
@@ -433,8 +435,14 @@ def _solve_states(bp: BarrierProblem, X: np.ndarray, warm, record) -> BarrierBat
         # the tail of the previous plan, padded with a zero input, is
         # usually feasible when the plan itself is not
         starts = [warm, np.concatenate([warm[:, qp.d_u:], zero[:, : qp.d_u]], axis=1), zero]
+    # A start counts as strictly feasible when its least residual, as a
+    # distance to the facet, exceeds the floor below which phase I calls
+    # the interior empty: Newton from a start that close to a facet only
+    # doubles the tight residual per step and stalls.
+    norms = np.linalg.norm(G, axis=1)
+    floor = PHASE_ONE_FLOOR * (1.0 + np.abs(ba / norms).max(axis=1, initial=0.0))
     for start in starts:
-        ok = todo & ((ba - start @ GT).min(axis=1, initial=np.inf) > 0.0)
+        ok = todo & (((ba - start @ GT) / norms).min(axis=1, initial=np.inf) > floor)
         u[ok] = start[ok]
         todo &= ~ok
         if not todo.any():

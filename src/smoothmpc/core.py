@@ -83,7 +83,11 @@ class LinearSystem:
         return self.B.shape[1]
 
     def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.B @ u
+        """A x + B u for one state, or for each row of a stack of states and
+        inputs; every row goes through the one-state products, so a state
+        steps to the same bits alone and inside a stack."""
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        return (self.A @ x[..., None] + self.B @ u[..., None])[..., 0]
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .barrier import (
+    BarrierBatch,
     BarrierProblem,
-    BarrierSolution,
     barrier_hessian,
     barrier_jacobian,
     barrier_jacobian_batch,
@@ -158,56 +158,41 @@ class PolygonProjector:
 
 
 class BarrierExpert:
-    """Barrier control law with its analytic first-input Jacobian.
+    """Barrier control law with its analytic first-input Jacobian, on stacks of states.
 
-    A single state is solved on its own: the expert keeps its last state
-    and solution, each solve warm-starts from that solution (consecutive
-    rollout states are close), and a call at the same state, bit for bit,
-    reuses it, so asking for the input and the Jacobian at a state solves
-    once. These results depend on the order of calls, which every caller
-    fixes; build a fresh expert to replay a sequence. A stack of states is
-    one stacked solve (``solve_barrier_batch``) from cold starts, the same
-    in any order, and leaves the last solution as it was.
+    A stack of states is one stacked solve (``solve_barrier_batch``) from
+    cold starts, the same in any order. The expert keeps its last stack
+    and its solutions, and a call at the same stack, bit for bit, reuses
+    them, so asking for the inputs and the Jacobians at a stack solves
+    once.
     """
 
     def __init__(self, bp: BarrierProblem):
         self.bp = bp
-        self._last = None  # (state bytes, BarrierSolution)
+        self._stack = None  # (stack bytes, BarrierBatch)
 
-    def _solve(self, x: np.ndarray) -> BarrierSolution:
-        x = np.asarray(x, dtype=float)
-        warm = None
-        if self._last is not None:
-            key, sol = self._last
-            if key == x.tobytes():
-                return sol
-            warm = sol.u_eta
-        sol = solve_barrier(self.bp, x, warm=warm)
-        self._last = (x.tobytes(), sol)
-        return sol
-
-    def _solutions(self, X: np.ndarray) -> tuple:
-        """(inputs, residuals) at the rows of X, NaN rows where infeasible."""
+    def _solutions(self, X: np.ndarray) -> BarrierBatch:
+        """The solutions at the rows of X, NaN rows where infeasible."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[0] == 1:
-            try:
-                sol = self._solve(X[0])
-            except InfeasibleError:
-                return np.full((1, self.bp.qp.n), np.nan), np.full((1, self.bp.qp.m), np.nan)
-            return sol.u_eta[None, :], sol.phi[None, :]
-        batch = solve_barrier_batch(self.bp, X)
-        return batch.u_eta, batch.phi
+        key = X.tobytes()
+        if self._stack is None or self._stack[0] != key:
+            self._stack = (key, solve_barrier_batch(self.bp, X))
+        return self._stack[1]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._solve(x).u_eta[: self.bp.qp.d_u]
+        """First input at one state; raises InfeasibleError where it has none."""
+        batch = self._solutions(np.asarray(x, dtype=float)[None, :])
+        if batch.errors[0] is not None:
+            raise batch.errors[0]
+        return batch.u_eta[0, : self.bp.qp.d_u]
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """First inputs at the rows of X, NaN rows where infeasible."""
-        return self._solutions(X)[0][:, : self.bp.qp.d_u]
+        return self._solutions(X).u_eta[:, : self.bp.qp.d_u]
 
     def jacobian_batch(self, X: np.ndarray) -> np.ndarray:
         """First-input Jacobians at the rows of X, shape (N, d_u, d_x), NaN where infeasible."""
-        return barrier_jacobian_batch(self.bp, self._solutions(X)[1])[:, : self.bp.qp.d_u]
+        return barrier_jacobian_batch(self.bp, self._solutions(X).phi)[:, : self.bp.qp.d_u]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]
@@ -558,8 +543,10 @@ def imitation_run(bench: Workbench, expert, jacobian_fn, N: int, K: int,
                   artifact_dir=None, tag: str = "") -> dict:
     """Dataset -> train -> evaluate for one expert and one seed.
 
-    With ``artifact_dir`` set, the dataset and the training curve are
-    written as CSV files named by ``tag`` (each run owns its own paths).
+    ``jacobian_fn(X)`` gives the expert's Jacobians at a stack of states
+    (``sample_dataset``). With ``artifact_dir`` set, the dataset and the
+    training curve are written as CSV files named by ``tag`` (each run
+    owns its own paths).
     """
 
     def sampler(rng):
@@ -616,7 +603,7 @@ class _ImitationTask:
         else:
             expert = self.bench.randomized_expert(param, n_samples=self.n_samples,
                                                   seed=seed)
-        out = imitation_run(self.bench, expert, expert.jacobian, self.N, self.K,
+        out = imitation_run(self.bench, expert, expert.jacobian_batch, self.N, self.K,
                             self.train_cfg, seed, n_eval=self.n_eval,
                             artifact_dir=self.artifact_dir,
                             tag=f"{kind}_{param:g}_s{seed}")

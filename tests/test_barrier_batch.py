@@ -101,3 +101,20 @@ def test_infeasible_rows_keep_a_lazy_certificate(di_qp):
         assert y @ di_qp.bounds_rhs(X[i]) < 0
     for i in (0, 2):
         assert np.linalg.norm(batch.u_eta[i] - solve_barrier(bp, X[i]).u_eta) <= 1e-9
+
+
+def test_a_start_within_rounding_of_a_facet_goes_to_phase_one(di_qp):
+    # u = 0 leaves a least residual of 4.3e-14 and 1.7e-12 at these states,
+    # whose Chebyshev radius is 0.59: Newton from u = 0 only doubled the
+    # tight residual per step and stalled with NewtonConvergenceError
+    bp = make_barrier_problem(di_qp, eta=0.01, outer_radius=np.sqrt(10.0))
+    X = np.array([[-5.000000000000043, 1.5], [2.0, 0.7999999999998337]])
+    assert np.all(0.0 < di_qp.bounds_rhs(X[0]).min()) and di_qp.bounds_rhs(X[0]).min() < 1e-13
+    assert np.all(0.0 < di_qp.bounds_rhs(X[1]).min()) and di_qp.bounds_rhs(X[1]).min() < 1e-11
+    batch = solve_barrier_batch(bp, X)
+    for i, x in enumerate(X):
+        sol = solve_barrier(bp, x)
+        assert batch.errors[i] is None and sol.phi.min() > 1e-4
+        err = float(np.linalg.norm(batch.u_eta[i] - sol.u_eta))
+        assert err <= tolerance(di_qp, x, sol, SimpleNamespace(grad_norm=batch.grad_norm[i]))
+        assert interior_radius(di_qp.G, di_qp.bounds_rhs(x)) > 0.5

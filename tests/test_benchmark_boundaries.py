@@ -107,3 +107,26 @@ def test_counters_read_real_results(di_qp):
         tracer, (table.jacobian_batch, np.zeros(2), np.ones(2), 1.0, 0.25, 0.25), {}, counts)
     slice_smoothness(*args, **kwargs)
     assert counts == {"jacobian_evals": 1}  # the coarse scan, in one call
+
+    # the rollout counters read a Trajectory, a dataset and the eval starts
+    from smoothmpc.core import double_integrator_problem
+    from smoothmpc.experiments import BarrierExpert
+    from smoothmpc.simulate import imitation_error, rollout, sample_dataset
+
+    sys_ = double_integrator_problem()[0]
+    expert = BarrierExpert(bp)
+    for start, want in ((x0, {"steps": 6, "truncated": 0}), (bad, {"steps": 0, "truncated": 1})):
+        counts = {}
+        traj = rollout(sys_, expert, start, 6)
+        tracing._count_rollout(tracer, (sys_, expert, start, 6), {}, traj, counts)
+        assert counts == want and type(traj.K) is int
+    sampler = lambda rng: rng.uniform(-3.0, 3.0, size=2)
+    ds = sample_dataset(sys_, expert, sampler, N=3, K=4, seed=0, jacobian_fn=expert.jacobian_batch)
+    counts = {}
+    tracing._count_dataset(tracer, (sys_, expert, sampler), {"N": 3, "K": 4, "seed": 0}, ds, counts)
+    assert counts == {"trajectories": 3}
+    starts = X[:7]
+    out = imitation_error(sys_, expert, table, starts, 4)
+    counts = {}
+    tracing._count_imitation_error(tracer, (sys_, expert, table, starts, 4), {}, out, counts)
+    assert counts == {"starts": 7} and out["max_traj_error"].shape == (7,)

@@ -276,6 +276,10 @@ def test_barrier_expert_matches_policy(bench):
     assert np.allclose(expert(x), pi_barrier(expert.bp, x))
     J = expert.jacobian(x)
     assert J.shape == (1, 2)
+    # one state has no NaN row to give: it raises, and its stack reads NaN
+    with pytest.raises(InfeasibleError):
+        expert(np.array([8.0, 2.0]))
+    assert np.isnan(expert.eval_batch(np.array([[8.0, 2.0]]))).all()
 
 
 def test_barrier_expert_stacked_batch_matches_fresh_solves(bench, monkeypatch):
@@ -385,7 +389,7 @@ def test_sup_error_needs_a_state_evaluated_on_both_policies():
 def test_imitation_run_smoke(bench, tmp_path):
     cfg = TrainConfig(steps=120, batch_size=64, width=16)
     expert = bench.barrier_expert(1.0)
-    out = imitation_run(bench, expert, expert.jacobian, N=3, K=6, train_cfg=cfg,
+    out = imitation_run(bench, expert, expert.jacobian_batch, N=3, K=6, train_cfg=cfg,
                         seed=0, n_eval=3, artifact_dir=tmp_path, tag="t")
     assert np.isfinite(out["mean_traj_error"])
     assert out["n_eval_failures"] == 0

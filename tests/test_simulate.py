@@ -7,6 +7,7 @@ from smoothmpc.core import build_condensed, double_integrator_problem
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.explicit import pi_mpc
 from smoothmpc.simulate import imitation_error, iss_gain, rollout, sample_dataset
+from rollout_oracles import Rows
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +18,7 @@ def di():
 
 def test_rollout_replays_dynamics(di):
     sys_, qp = di
-    traj = rollout(sys_, lambda x: pi_mpc(qp, x), np.array([3.0, -1.0]), 15)
+    traj = rollout(sys_, Rows(lambda x: pi_mpc(qp, x)), np.array([3.0, -1.0]), 15)
     assert traj.completed
     for t in range(traj.K):
         assert np.allclose(traj.states[t + 1], sys_.step(traj.states[t], traj.inputs[t]))
@@ -25,14 +26,14 @@ def test_rollout_replays_dynamics(di):
 
 def test_rollout_origin_stays_at_origin(di):
     sys_, qp = di
-    traj = rollout(sys_, lambda x: pi_mpc(qp, x), np.zeros(2), 10)
+    traj = rollout(sys_, Rows(lambda x: pi_mpc(qp, x)), np.zeros(2), 10)
     assert np.abs(traj.states).max() <= 1e-9
 
 
 def test_rollout_stabilizes_double_integrator(di):
     sys_, qp = di
     # the originally described start (8, 2) is infeasible; use its feasible mirror
-    traj = rollout(sys_, lambda x: pi_mpc(qp, x), np.array([8.0, -2.0]), 50)
+    traj = rollout(sys_, Rows(lambda x: pi_mpc(qp, x)), np.array([8.0, -2.0]), 50)
     assert traj.completed
     assert np.linalg.norm(traj.states[-1]) <= 0.1
 
@@ -45,7 +46,7 @@ def test_rollout_barrier_policies_stabilize(di):
     R = feasible_radii(qp, np.zeros(2)).R
     for eta in (1e-2, 1.0, 100.0):
         bp = make_barrier_problem(qp, eta, outer_radius=R)
-        traj = rollout(sys_, lambda x: pi_barrier(bp, x), np.array([8.0, -2.0]), 50)
+        traj = rollout(sys_, Rows(lambda x: pi_barrier(bp, x)), np.array([8.0, -2.0]), 50)
         assert traj.completed, traj.failure
         assert np.linalg.norm(traj.states[-1]) <= 0.1
 
@@ -58,11 +59,11 @@ def test_rollout_truncates_on_failure(di):
             raise InfeasibleError("boom")
         return np.zeros(1)
 
-    traj = rollout(sys_, fragile, np.array([1.0, 1.0]), 10)
+    traj = rollout(sys_, Rows(fragile), np.array([1.0, 1.0]), 10)
     assert not traj.completed and "boom" in traj.failure
     assert traj.states.shape[0] == traj.inputs.shape[0] + 1
     # a failure at the first state leaves no inputs
-    traj = rollout(sys_, fragile, np.array([3.0, 1.0]), 10)
+    traj = rollout(sys_, Rows(fragile), np.array([3.0, 1.0]), 10)
     assert not traj.completed
     assert traj.states.shape == (1, 2) and traj.inputs.shape == (0, 1)
 
@@ -76,7 +77,7 @@ def test_rollout_propagates_a_policy_bug(di):
         return np.zeros(1)
 
     with pytest.raises(TypeError, match="not a policy failure"):
-        rollout(sys_, buggy, np.array([1.0, 1.0]), 10)
+        rollout(sys_, Rows(buggy), np.array([1.0, 1.0]), 10)
 
 
 def test_sample_dataset_shapes_and_determinism(di):
@@ -85,7 +86,7 @@ def test_sample_dataset_shapes_and_determinism(di):
     def sampler(rng):
         return rng.uniform(-4, 4, size=2)
 
-    expert = lambda x: pi_mpc(qp, x)
+    expert = Rows(lambda x: pi_mpc(qp, x))
     ds1 = sample_dataset(sys_, expert, sampler, N=5, K=8, seed=42)
     ds2 = sample_dataset(sys_, expert, sampler, N=5, K=8, seed=42)
     assert ds1.states.shape == (5, 8, 2) and ds1.inputs.shape == (5, 8, 1)
@@ -99,13 +100,14 @@ def test_sample_dataset_shapes_and_determinism(di):
 
 def test_sample_dataset_empty(di):
     sys_, qp = di
-    ds = sample_dataset(sys_, lambda x: pi_mpc(qp, x), lambda rng: np.zeros(2), N=0, K=5, seed=0)
+    ds = sample_dataset(sys_, Rows(lambda x: pi_mpc(qp, x)), lambda rng: np.zeros(2), N=0, K=5,
+                        seed=0)
     assert ds.N == 0
 
 
 def test_imitation_error_identical_policies(di):
     sys_, qp = di
-    pol = lambda x: pi_mpc(qp, x)
+    pol = Rows(lambda x: pi_mpc(qp, x))
     out = imitation_error(sys_, pol, pol, np.array([[2.0, 0.5], [-3.0, 1.0]]), K=10)
     assert np.abs(out["max_traj_error"]).max() <= 1e-12
     assert out["sup_policy_error"] <= 1e-12
@@ -113,8 +115,8 @@ def test_imitation_error_identical_policies(di):
 
 def test_imitation_error_perturbed_policy(di):
     sys_, qp = di
-    expert = lambda x: pi_mpc(qp, x)
-    shifted = lambda x: pi_mpc(qp, x) + 0.05
+    expert = Rows(lambda x: pi_mpc(qp, x))
+    shifted = Rows(lambda x: pi_mpc(qp, x) + 0.05)
     out = imitation_error(sys_, expert, shifted, np.array([[2.0, 0.5]]), K=10)
     assert out["max_traj_error"][0] > 0.05  # deviation accumulates through the loop
     assert out["sup_policy_error"] >= 0.05 - 1e-9

@@ -100,22 +100,22 @@ def test_sample_dataset_solves_each_recorded_state_once(monkeypatch):
     sys_, qp = random_system(rng)
     bp = make_barrier_problem(qp, 0.05)
     solved = []
-    real = smoothmpc.experiments.solve_barrier
+    real = smoothmpc.experiments.solve_barrier_batch
 
-    def counted(bp_, x, warm=None):
-        sol = real(bp_, x, warm=warm)
-        solved.append(np.asarray(x, dtype=float).tobytes())
-        return sol
+    def counted(bp_, X, warm=None):
+        batch = real(bp_, X, warm=warm)
+        solved.extend(x.tobytes() for x in np.asarray(X, dtype=float))
+        return batch
 
-    monkeypatch.setattr(smoothmpc.experiments, "solve_barrier", counted)
+    monkeypatch.setattr(smoothmpc.experiments, "solve_barrier_batch", counted)
     expert = BarrierExpert(bp)
     N, K = 4, 6
     ds = sample_dataset(sys_, expert, lambda r: r.uniform(-0.3, 0.3, size=qp.d_x),
-                        N=N, K=K, seed=0, jacobian_fn=expert.jacobian)
-    assert len(solved) == N * K  # rejected proposals raise and are not counted
+                        N=N, K=K, seed=0, jacobian_fn=expert.jacobian_batch)
+    assert len(solved) == N * K  # stacked rows; a rejected proposal's rows would count too
     assert sorted(solved) == sorted(x.tobytes() for x in ds.states.reshape(N * K, -1))
     for x, J in zip(ds.states.reshape(N * K, -1), ds.jacobians.reshape(N * K, qp.d_u, -1)):
-        ref = barrier_jacobian(bp, real(bp, x))[: qp.d_u]
+        ref = barrier_jacobian(bp, solve_barrier(bp, x))[: qp.d_u]
         assert np.abs(J - ref).max() <= 1e-6 * (1.0 + np.abs(ref).max())
 
 
