@@ -216,9 +216,6 @@ class Workbench:
             raise ConfigurationError(
                 f"the benchmark sweeps need a 2-D state (a feasible polygon), got d_x = {sys_.d_x}")
         qp = build_condensed(sys_, cost, cons)
-        # the bounding-box LPs run before discovery: the first of a process
-        # leaves a long-lived allocation on the heap, which above
-        # discovery's freed arrays kept them from going back to the system
         half = state_halfwidth(cons)
         R = feasible_radii(qp, np.zeros(qp.d_x)).R
         grid = state_grid([-half] * qp.d_x, [half] * qp.d_x, resolution)

@@ -202,7 +202,7 @@ def _region_data(qp: CondensedQP, piece: AffinePiece) -> _PieceRegion:
 
 
 def _region_mask(region: _PieceRegion, X: np.ndarray) -> np.ndarray:
-    # in place: a grid-wide test in discovery holds one (N, rows) array, not two
+    # in place: a large batch holds one (N, rows) array, not two
     Y = X @ region.A.T
     Y -= region.v
     return np.all(Y <= region.t, axis=1)
@@ -261,11 +261,15 @@ def discover_pieces(qp: CondensedQP, grid: np.ndarray, method: str = "assign") -
     """Enumerate the distinct affine pieces visited by a state grid.
 
     ``method="per-point"`` solves the QP at every grid point.
-    ``method="assign"`` (default, equivalent output) solves one QP per
-    undiscovered piece and assigns the remaining grid points by exact
-    primal/dual membership tests of the known regions; infeasible points
-    are eliminated in bulk through Farkas certificate half-planes. Both
-    methods dedupe by active set and then by rounded gains.
+    ``method="assign"`` (default, equivalent output) walks the grid in
+    order and solves the QP at the first point not yet decided. A new
+    active set's region is tested, by its exact primal/dual membership
+    test, on the undecided points of the buckets where that test can pass
+    (``_BucketGrid`` over the grid's box, as the piece table buckets it),
+    and claims those that pass; the solved point joins its region even if
+    its own test misses by rounding. An infeasible point's Farkas
+    certificate half-plane eliminates the infeasible points it covers in
+    bulk. Both methods dedupe by active set and then by rounded gains.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != qp.d_x:
@@ -278,12 +282,18 @@ def discover_pieces(qp: CondensedQP, grid: np.ndarray, method: str = "assign") -
     N = grid.shape[0]
     status = np.zeros(N, dtype=np.int8)  # 0 unassigned, 1 assigned, -1 infeasible
     sigma_pieces: dict = {}
+    box = (grid.min(axis=0), grid.max(axis=0))
+    buckets = _BucketGrid(*box)
+    # the grid's points in bucket order, and the number in each bucket
+    cells = buckets.cells(grid)
+    by_cell = np.argsort(cells, kind="stable")
+    per_cell = np.bincount(cells, minlength=buckets.n ** qp.d_x + 1)
 
     cursor = 0
     while True:
-        while cursor < N and status[cursor] != 0:
-            cursor += 1
-        if cursor >= N:
+        # every point before the cursor is decided, and so is the cursor's
+        cursor += int(np.argmax(status[cursor:] == 0))
+        if status[cursor] != 0:
             break
         x = grid[cursor]
         try:
@@ -306,11 +316,16 @@ def discover_pieces(qp: CondensedQP, grid: np.ndarray, method: str = "assign") -
             piece = gain_for_sigma(qp, sol.sigma)
             sigma_pieces[key] = [piece, 0]
             region = _region_data(qp, piece)
-            todo = status == 0
-            mask = _region_mask(region, grid[todo])
-            hit = np.flatnonzero(todo)[mask]
-            status[hit] = 1
-            sigma_pieces[key][1] += hit.size
+            # the unassigned points, in grid order, of the buckets where the test can pass
+            todo = by_cell[np.repeat(buckets.candidates(region), per_cell)]
+            todo = np.sort(todo[status[todo] == 0])
+            if todo.size:
+                # a lone point is tested as two rows: numpy sends a one-row
+                # product through gemv, which can round otherwise than gemm
+                mask = _region_mask(region, grid[np.resize(todo, max(2, todo.size))])
+                hit = todo[mask[: todo.size]]
+                status[hit] = 1
+                sigma_pieces[key][1] += hit.size
         if status[cursor] == 0:
             # boundary point whose own region test missed by tolerance
             status[cursor] = 1
@@ -320,8 +335,7 @@ def discover_pieces(qp: CondensedQP, grid: np.ndarray, method: str = "assign") -
     pieces, occupancy = _dedupe_by_gain(qp, {k: tuple(v) for k, v in sigma_pieces.items()})
     return PieceCollection(pieces=pieces, occupancy=occupancy,
                            n_feasible=N - n_inf, n_infeasible=n_inf,
-                           sigma_count=len(sigma_pieces),
-                           box=(grid.min(axis=0), grid.max(axis=0)))
+                           sigma_count=len(sigma_pieces), box=box)
 
 
 def _discover_per_point(qp: CondensedQP, grid: np.ndarray) -> PieceCollection:
@@ -344,58 +358,87 @@ def _discover_per_point(qp: CondensedQP, grid: np.ndarray) -> PieceCollection:
                            box=(grid.min(axis=0), grid.max(axis=0)))
 
 
-def _bucket_candidates(regions: list, lo: np.ndarray, width: np.ndarray, n: int) -> tuple:
-    """Candidate regions of each bucket, and the rows each region can fail there.
+class _BucketGrid:
+    """A uniform grid of buckets over a box, and the buckets a region can reach.
 
-    Returns (cand, keep). cand[r, c]: may region r hold a state of bucket
-    c? Column n**d is "anywhere". keep[r]: the rows of region r that can
-    fail at a state of one of its candidate buckets.
+    Each of the d axes of [lo, hi] is split into n = round(BUCKET_CELLS **
+    (1 / d)) buckets; a one-point axis gets unit-width buckets. ``cells``
+    gives each state's bucket, n**d for a state outside the box or not
+    finite. ``candidates`` gives the buckets where a region's test can
+    pass (bucket n**d, "anywhere", always can), and ``kept_rows`` the rows
+    of the region that can fail in those buckets.
 
     Over a box (centre c, half-widths h) a row's least value is
-    c . a - |a| . h - v and its greatest c . a + |a| . h - v. Region r is
+    c . a - |a| . h - v and its greatest c . a + |a| . h - v. A region is
     ruled out of a bucket when some row's least value exceeds t plus a
     bound on the rounding of that value and of the test (dot products of
-    d_x terms with |x|, |c| + h <= reach). A row is left out of keep when
-    its greatest value stays at or below t minus that bound in every
-    candidate bucket. Boxes are padded by ``pad`` for the rounding of the
-    bucket index in ``PieceTableEvaluator._cells`` and of the box centres.
-    Blocks of f**d buckets are tested first, and only rows that exceed t
-    somewhere in the remaining blocks are tested per bucket (dropping a
-    row can only add candidates).
+    d terms with |x|, |c| + h <= reach). A row is left out of the kept
+    rows when its greatest value stays at or below t minus that bound in
+    every candidate bucket. Boxes are padded by ``pad`` for the rounding
+    of the bucket index in ``cells`` and of the box centres. Blocks of
+    f**d buckets are tested first, and only rows that exceed t somewhere
+    in the remaining blocks are tested per bucket (dropping a row can only
+    add candidates).
     """
-    d = lo.size
-    eps = np.finfo(float).eps
-    f = max(1, round(np.sqrt(n)))
-    nb = -(-n // f)
-    pad = 16 * eps * (n * width + np.abs(lo) + np.abs(lo + n * width))
-    reach = np.maximum(np.abs(lo), np.abs(lo + n * width)) + f * width
 
-    def centers_of(count, size):
-        axes = np.meshgrid(*[np.arange(count)] * d, indexing="ij")
-        idx = np.stack([a.ravel() for a in axes], axis=1)
-        return idx, lo + (idx + 0.5) * size
+    def __init__(self, lo, hi):
+        lo, hi = (np.asarray(c, dtype=float) for c in (lo, hi))
+        d = lo.size
+        n = self.n = max(1, round(BUCKET_CELLS ** (1.0 / d)))
+        self.lo = lo
+        width = self.width = np.where(hi > lo, (hi - lo) / n, 1.0)
+        eps = np.finfo(float).eps
+        f = max(1, round(np.sqrt(n)))
+        nb = -(-n // f)
+        pad = 16 * eps * (n * width + np.abs(lo) + np.abs(lo + n * width))
+        self._reach = np.maximum(np.abs(lo), np.abs(lo + n * width)) + f * width
+        self._half = 0.5 * width + pad
+        self._block_half = 0.5 * f * width + pad
 
-    idx, centers = centers_of(n, width)
-    block = np.ravel_multi_index(tuple((idx // f).T), (nb,) * d)
-    _, block_centers = centers_of(nb, f * width)
-    cand = np.zeros((len(regions), n ** d + 1), dtype=bool)
-    cand[:, -1] = True
-    keep = []
-    for r, region in enumerate(regions):
+        def centers_of(count, size):
+            axes = np.meshgrid(*[np.arange(count)] * d, indexing="ij")
+            idx = np.stack([a.ravel() for a in axes], axis=1)
+            return idx, lo + (idx + 0.5) * size
+
+        idx, self._centers = centers_of(n, width)
+        self._block = np.ravel_multi_index(tuple((idx // f).T), (nb,) * d)
+        self._block_centers = centers_of(nb, f * width)[1]
+
+    def cells(self, X: np.ndarray) -> np.ndarray:
+        """Bucket index of each row; n**d for rows outside the box or not finite."""
+        t = (X - self.lo) / self.width
+        inside = np.all((t >= 0) & (t <= self.n), axis=1)
+        cells = np.full(X.shape[0], self.n ** X.shape[1], dtype=np.intp)
+        idx = np.minimum(t[inside].astype(np.intp), self.n - 1)
+        cells[inside] = np.ravel_multi_index(tuple(idx.T), (self.n,) * X.shape[1])
+        return cells
+
+    def _err(self, region: _PieceRegion) -> np.ndarray:
+        d = self.lo.size
+        return 8 * (d + 1) * np.finfo(float).eps * (np.abs(region.A) @ self._reach
+                                                    + np.abs(region.v))
+
+    def candidates(self, region: _PieceRegion) -> np.ndarray:
+        """cand[c]: may ``region`` hold a state of bucket c? Length n**d + 1."""
         A, v = region.A, region.v
         absA = np.abs(A)
-        err = 8 * (d + 1) * eps * (absA @ reach + np.abs(v))
-        t = region.t + err
-        mid = block_centers @ A.T - v
-        spread = absA @ (0.5 * f * width + pad)
+        t = region.t + self._err(region)
+        mid = self._block_centers @ A.T - v
+        spread = absA @ self._block_half
         ok = ~np.any(mid - spread > t, axis=1)
         rows = np.any(mid[ok] + spread > t, axis=0)
-        near = np.flatnonzero(ok[block])
-        low = centers[near] @ A[rows].T - v[rows] - absA[rows] @ (0.5 * width + pad)
-        cand[r, near] = ~np.any(low > t[rows], axis=1)
-        high = centers[near[cand[r, near]]] @ A.T - v + absA @ (0.5 * width + pad)
-        keep.append(np.any(high > region.t - err, axis=0))
-    return cand, keep
+        near = np.flatnonzero(ok[self._block])
+        low = self._centers[near] @ A[rows].T - v[rows] - absA[rows] @ self._half
+        cand = np.zeros(self._centers.shape[0] + 1, dtype=bool)
+        cand[-1] = True
+        cand[near] = ~np.any(low > t[rows], axis=1)
+        return cand
+
+    def kept_rows(self, region: _PieceRegion, cand: np.ndarray) -> np.ndarray:
+        """The rows of ``region`` that can fail at a state of one of the buckets in ``cand``."""
+        high = (self._centers[cand[:-1]] @ region.A.T - region.v
+                + np.abs(region.A) @ self._half)
+        return np.any(high > region.t - self._err(region), axis=0)
 
 
 def _reduced_test(region: _PieceRegion, keep: np.ndarray) -> _PieceRegion:
@@ -439,28 +482,19 @@ class PieceTableEvaluator:
         self.collection = collection
         order = np.argsort(-collection.occupancy, kind="stable")
         self._regions = [_region_data(qp, collection.pieces[i]) for i in order]
-        lo, hi = (np.asarray(c, dtype=float) for c in collection.box)
-        self._n = max(1, round(BUCKET_CELLS ** (1.0 / qp.d_x)))
-        self._lo = lo
-        # a one-point grid axis (resolution 1) gets unit-width buckets
-        self._width = np.where(hi > lo, (hi - lo) / self._n, 1.0)
-        self._candidates, keep = _bucket_candidates(self._regions, lo, self._width, self._n)
-        # in-box states take the reduced tests, states outside the box the full ones
-        self._reduced = [_reduced_test(region, rows) for region, rows in zip(self._regions, keep)]
-
-    def _cells(self, X: np.ndarray) -> np.ndarray:
-        """Bucket index of each row; n**d_x for rows outside the box or not finite."""
-        t = (X - self._lo) / self._width
-        inside = np.all((t >= 0) & (t <= self._n), axis=1)
-        cells = np.full(X.shape[0], self._n ** X.shape[1], dtype=np.intp)
-        idx = np.minimum(t[inside].astype(np.intp), self._n - 1)
-        cells[inside] = np.ravel_multi_index(tuple(idx.T), (self._n,) * X.shape[1])
-        return cells
+        self._buckets = _BucketGrid(*collection.box)
+        self._candidates = np.zeros((len(self._regions), self._buckets.n ** qp.d_x + 1), dtype=bool)
+        self._reduced = []
+        for r, region in enumerate(self._regions):
+            self._candidates[r] = self._buckets.candidates(region)
+            # in-box states take the reduced tests, states outside the box the full ones
+            self._reduced.append(_reduced_test(
+                region, self._buckets.kept_rows(region, self._candidates[r])))
 
     def _locate(self, X: np.ndarray) -> np.ndarray:
         """Occupancy-order index of the first region holding each finite row; -1 for none."""
         which = np.full(X.shape[0], -1, dtype=np.intp)
-        cells = self._cells(X)
+        cells = self._buckets.cells(X)
         finite = np.all(np.isfinite(X), axis=1)
         outside = cells == self._candidates.shape[1] - 1
         for todo, tests in ((np.flatnonzero(finite & ~outside), self._reduced),

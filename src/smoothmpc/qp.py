@@ -56,6 +56,8 @@ def _solve_lp(c: np.ndarray, A_ub, b_ub: np.ndarray, G: np.ndarray, b: np.ndarra
               bounds=(None, None)):
     """HiGHS LP over rows A_ub <= b_ub that describe {z : G z <= b}.
 
+    HiGHS's presolve can report a nonempty polytope as empty, so status 2
+    is checked by one more solve without presolve, whose status counts.
     Status 2 raises InfeasibleError with a Farkas certificate for (G, b),
     computed when first read, and status 3 UnboundedError. Any other
     failure runs the Farkas LP at once: a certificate means the polytope
@@ -63,6 +65,9 @@ def _solve_lp(c: np.ndarray, A_ub, b_ub: np.ndarray, G: np.ndarray, b: np.ndarra
     failure raises RuntimeError.
     """
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if res.status == 2:
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs",
+                      options={"presolve": False})
     if res.status == 2:
         raise InfeasibleError("constraint polytope is empty",
                               certificate=partial(farkas_certificate, G, b))

@@ -20,7 +20,7 @@ from smoothmpc.core import (
     state_halfwidth,
 )
 from smoothmpc.errors import ConfigurationError, InfeasibleError, UnboundedError
-from smoothmpc.qp import bounding_box
+from smoothmpc.qp import bounding_box, chebyshev_center, support
 from qp_oracles import support_loop_box
 from test_warm_start import random_system
 
@@ -252,11 +252,28 @@ def test_bounding_box_matches_support_loop_on_random_systems(seed):
     except (InfeasibleError, UnboundedError) as err:
         with pytest.raises(type(err)) as exc:
             bounding_box(G, b)
-        if isinstance(err, InfeasibleError) and err.certificate is not None:
+        if isinstance(err, InfeasibleError):
             _assert_farkas(G, b, exc.value.certificate)
         return
     box = np.concatenate(bounding_box(G, b))
     assert np.abs(box - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def test_presolve_verdict_of_an_empty_polytope_is_checked():
+    # HiGHS's presolve calls this polytope empty in the bounding-box LP and
+    # in the support LP of coordinate 4, yet the elastic LP's least slack is
+    # -0.166 and it holds a ball; solved without presolve, both LPs are
+    # unbounded
+    rng = np.random.default_rng(77)
+    qp = random_system(rng)[1]
+    x0 = rng.uniform(-2.5, 2.5, size=qp.d_x)
+    keep = rng.uniform(size=qp.m) < 0.7
+    G, b = qp.G[keep], qp.bounds_rhs(x0)[keep]
+    assert chebyshev_center(G, b)[1] > 0
+    with pytest.raises(UnboundedError):
+        bounding_box(G, b)
+    with pytest.raises(UnboundedError):
+        support(G, b, np.eye(G.shape[1])[4])
 
 
 def test_load_problem_roundtrip():

@@ -339,7 +339,8 @@ def probe_states(rng, table, grid, count):
     them exactly on its boundary."""
     lo, hi = table.collection.box
     span = hi - lo
-    corners = lo + rng.integers(0, table._n + 1, size=(count, lo.size)) * table._width
+    buckets = table._buckets
+    corners = lo + rng.integers(0, buckets.n + 1, size=(count, lo.size)) * buckets.width
     near = rng.uniform(lo - 0.2 * span, hi + 0.2 * span, size=(count, lo.size))
     far = rng.uniform(-10.0, 10.0, size=(count // 10, lo.size)) * span
     bad = rng.uniform(lo, hi, size=(6, lo.size))
@@ -439,8 +440,8 @@ def test_bucketed_table_matches_scan_clip(clip_qp, shift):
     lo = kink - shift - 2304 * width
     grid = state_grid([lo], [lo + smoothmpc.explicit.BUCKET_CELLS * width], 201)
     table = PieceTableEvaluator(clip_qp, discover_pieces(clip_qp, grid))
-    assert table._width[0] == width
-    assert table._cells(np.array([[kink - shift - 1e-12]]))[0] == 2303
+    assert table._buckets.width[0] == width
+    assert table._buckets.cells(np.array([[kink - shift - 1e-12]]))[0] == 2303
     rng = np.random.default_rng(43)
     near_kink = kink + np.linspace(-1e-9, 1e-9, 401)[:, None]
     X = np.vstack([probe_states(rng, table, grid, 400), near_kink])
@@ -469,11 +470,11 @@ def test_batch_inside_one_bucket_tests_only_its_candidates(di_table, monkeypatch
     # in-box states are tested against the regions' reduced rows
     allowed = {id(table._reduced[r]) for r in np.flatnonzero(candidates[:, cell])}
     assert 2 <= len(allowed) <= len(table._regions) // 10
-    idx = np.array(np.unravel_index(cell, (table._n,) * 2))
+    idx = np.array(np.unravel_index(cell, (table._buckets.n,) * 2))
     rng = np.random.default_rng(47)
     lo = table.collection.box[0]
-    X = lo + (idx + rng.uniform(0.01, 0.99, size=(500, 2))) * table._width
-    assert np.all(table._cells(X) == cell)
+    X = lo + (idx + rng.uniform(0.01, 0.99, size=(500, 2))) * table._buckets.width
+    assert np.all(table._buckets.cells(X) == cell)
     expected = _scan_oracle(table, X, "nan")
     tested = []
 
@@ -492,8 +493,8 @@ def test_batch_inside_one_bucket_tests_only_its_candidates(di_table, monkeypatch
 
 def bucket_probes(rng, table, cells):
     """States in each bucket of ``cells``: interiors, corners and points on
-    the faces of the bucket padded as ``_bucket_candidates`` pads it."""
-    lo, width, n = table._lo, table._width, table._n
+    the faces of the bucket padded as ``_BucketGrid`` pads it."""
+    lo, width, n = table._buckets.lo, table._buckets.width, table._buckets.n
     d = lo.size
     eps = np.finfo(float).eps
     pad = 16 * eps * (n * width + np.abs(lo) + np.abs(lo + n * width))
@@ -510,15 +511,16 @@ def bucket_probes(rng, table, cells):
 
 
 def assert_dropped_rows_pass(table, rng):
-    cand, keep = smoothmpc.explicit._bucket_candidates(
-        table._regions, table._lo, table._width, table._n)
-    assert np.array_equal(cand, table._candidates)
+    buckets = smoothmpc.explicit._BucketGrid(*table.collection.box)
     dropped = 0
     for r, region in enumerate(table._regions):
-        X = bucket_probes(rng, table, np.flatnonzero(cand[r, :-1]))
+        cand = buckets.candidates(region)
+        assert np.array_equal(cand, table._candidates[r])
+        keep = buckets.kept_rows(region, cand)
+        X = bucket_probes(rng, table, np.flatnonzero(cand[:-1]))
         rows = X @ region.A.T - region.v <= region.t
-        assert rows[:, ~keep[r]].all()
-        dropped += int((~keep[r]).sum())
+        assert rows[:, ~keep].all()
+        dropped += int((~keep).sum())
     assert dropped > 0
 
 
