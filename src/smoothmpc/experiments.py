@@ -541,16 +541,20 @@ def imitation_run(bench: Workbench, expert, jacobian_fn, N: int, K: int,
     """Dataset -> train -> evaluate for one expert and one seed.
 
     ``jacobian_fn(X)`` gives the expert's Jacobians at a stack of states
-    (``sample_dataset``). With ``artifact_dir`` set, the dataset and the
-    training curve are written as CSV files named by ``tag`` (each run
-    owns its own paths).
+    (``sample_dataset``). They are sampled only when something reads
+    them: the TaSIL term (``train_cfg.lambda_jac > 0``) or the written
+    dataset. Only then does a start whose Jacobian label fails count as
+    rejected. With ``artifact_dir`` set, the dataset and the training
+    curve are written as CSV files named by ``tag`` (each run owns its
+    own paths).
     """
 
     def sampler(rng):
         return bench.sample_initial_states(1, int(rng.integers(0, 2 ** 31)))[0]
 
+    labels = train_cfg.lambda_jac > 0.0 or artifact_dir is not None
     ds = sample_dataset(bench.sys, expert, sampler, N=N, K=K, seed=seed,
-                        jacobian_fn=jacobian_fn)
+                        jacobian_fn=jacobian_fn if labels else None)
     cfg = TrainConfig(**{**train_cfg.__dict__, "seed": seed})
     policy, curves = train_imitator(ds, cfg, halfwidths=[bench.state_halfwidth] * bench.qp.d_x)
     if artifact_dir is not None:

@@ -78,16 +78,32 @@ class MLPPolicy:
         return views[:len(views) // 2], views[len(views) // 2:]
 
     # --- evaluation --------------------------------------------------------------
-    def _forward(self, X: np.ndarray):
-        """Pre-activations, layer inputs and output, and gelu' of each hidden layer."""
+    def _forward(self, X: np.ndarray, with_slopes: bool = True):
+        """Pre-activations, layer inputs and output, and gelu' of each hidden
+        layer (none when ``with_slopes`` is False). Phi(z), GELU and gelu'
+        are built in place, with the operations of ``_cdf``, ``gelu`` and
+        ``gelu_prime`` in their order."""
         zs, acts, slopes = [], [X / self.halfwidths], []
         for W, b in zip(self.weights, self.biases):
-            zs.append(acts[-1] @ W.T + b)
-            acts.append(zs[-1])
-            if len(zs) < len(self.weights):
-                cdf = _cdf(zs[-1])
-                acts[-1] = zs[-1] * cdf
-                slopes.append(cdf + zs[-1] * _pdf(zs[-1]))
+            z = acts[-1] @ W.T
+            z += b
+            zs.append(z)
+            if len(zs) == len(self.weights):
+                acts.append(z)
+                break
+            cdf = np.divide(z, _SQRT2)
+            erf(cdf, out=cdf)
+            cdf += 1.0
+            cdf *= 0.5
+            acts.append(np.multiply(z, cdf))
+            if with_slopes:
+                pdf = np.multiply(z, -0.5)
+                pdf *= z
+                np.exp(pdf, out=pdf)
+                pdf *= _INV_SQRT_2PI
+                pdf *= z
+                cdf += pdf  # Phi(z) + z pdf(z)
+                slopes.append(cdf)
         return zs, acts, slopes
 
     def _jacobian_chain(self, slopes):
@@ -103,7 +119,7 @@ class MLPPolicy:
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self._forward(X)[1][-1]
+        return self._forward(X, with_slopes=False)[1][-1]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
@@ -122,8 +138,9 @@ class MLPPolicy:
                        lambda_jac: float = 0.0):
         """Mean squared control error (+ lambda_jac * Jacobian mismatch).
 
-        Returns (loss, grad), with grad laid out like ``params``. The
-        Jacobian term is differentiated back through the chain of input
+        Returns (loss, grad), with grad a new array laid out like
+        ``params``; each layer's first term is written straight into its
+        view of it. The Jacobian term is differentiated back through the chain of input
         Jacobians, adding gelu'' paths to every hidden layer.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -134,7 +151,7 @@ class MLPPolicy:
         diff = acts[-1] - U
         loss = float(np.sum(diff ** 2) / B)
 
-        grad = np.zeros_like(self.params)
+        grad = np.empty_like(self.params)  # every entry is written below
         dW, db = self._views(grad)
         jac = lambda_jac > 0.0 and J_target is not None
         if jac:
@@ -143,17 +160,20 @@ class MLPPolicy:
             loss += float(lambda_jac * np.sum(J_err ** 2) / B)
             Qbar = 2.0 * lambda_jac * J_err / B  # d loss / d Qs[l]
 
-        delta = 2.0 * diff / B
+        delta = diff
+        delta *= 2.0
+        delta /= B
         for l in range(L - 1, -1, -1):
-            dW[l] += delta.T @ acts[l]
-            db[l] += delta.sum(axis=0)
+            np.matmul(delta.T, acts[l], out=dW[l])
+            np.sum(delta, axis=0, out=db[l])
             if jac:
                 dW[l] += np.tensordot(Qbar, Ms[l], axes=([0, 2], [0, 2]))
             if l > 0:
-                delta = (delta @ self.weights[l]) * slopes[l - 1]
+                delta = delta @ self.weights[l]
+                delta *= slopes[l - 1]
                 if jac:
                     Mbar = np.matmul(self.weights[l].T, Qbar)  # d loss / d Ms[l]
-                    delta = delta + gelu_second(zs[l - 1]) * np.sum(Mbar * Qs[l - 1], axis=2)
+                    delta += gelu_second(zs[l - 1]) * np.sum(Mbar * Qs[l - 1], axis=2)
                     Qbar = Mbar * slopes[l - 1][:, :, None]
         return loss, grad
 
@@ -181,7 +201,11 @@ class TrainConfig:
 
 
 class AdamW:
-    """Adam with decoupled weight decay on one parameter array, in place."""
+    """Adam with decoupled weight decay on one parameter array, in place.
+
+    Two scratch vectors of the parameters' size hold the step's
+    intermediates, so a step allocates nothing.
+    """
 
     def __init__(self, params: np.ndarray, lr: float, weight_decay: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -191,19 +215,33 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self._s1 = np.empty_like(params)
+        self._s2 = np.empty_like(params)
         self.t = 0
 
     def step(self, grad: np.ndarray):
+        """m, v and p updated as m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+        p -= lr (m / b1c) / (sqrt(v / b2c) + eps), p -= lr wd p."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        p, m, v = self.params, self.m, self.v
+        p, m, v, s1, s2 = self.params, self.m, self.v, self._s1, self._s2
         m *= self.beta1
-        m += (1.0 - self.beta1) * grad
+        np.multiply(grad, 1.0 - self.beta1, out=s1)
+        m += s1
         v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-        p -= self.lr * self.wd * p
+        np.multiply(grad, 1.0 - self.beta2, out=s1)
+        s1 *= grad
+        v += s1
+        np.divide(m, b1c, out=s1)
+        s1 *= self.lr
+        np.divide(v, b2c, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        p -= s1
+        np.multiply(p, self.lr * self.wd, out=s1)
+        p -= s1
 
 
 def train_imitator(ds: ImitationDataset, cfg: TrainConfig,

@@ -209,7 +209,9 @@ def sample_dataset(sys: LinearSystem, expert, sampler, N: int, K: int, seed: int
     row raise. ``jacobian_fn(X)``, a batch function of
     shape (B, d_u, d_x), is called on each step's stack right after the
     expert, so an expert that keeps its last stack serves both from one
-    solve. Deterministic given ``seed``.
+    solve. When it is given, a start whose label fails (NaN or a policy
+    failure) is rejected too; without it, only the expert's inputs
+    decide, and ``jacobians`` is None. Deterministic given ``seed``.
     """
     rng = np.random.default_rng(seed)
     states = np.zeros((N, K, sys.d_x))

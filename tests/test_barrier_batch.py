@@ -1,9 +1,10 @@
 """The stacked barrier solve against row-by-row solves and a Chebyshev-LP oracle."""
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothmpc.barrier import (
@@ -18,10 +19,17 @@ from smoothmpc.experiments import feasible_polygon
 from qp_oracles import interior_radius
 from test_warm_start import random_system, tolerance
 
-# the oracle's verdict is taken as clear outside (EMPTY, CLEAR) times the
-# offsets' scale; between, the LP's own tolerances decide
-EMPTY = 1e-11
+# the oracle's verdict is taken as clear below CLEAR times the offsets'
+# scale; above, the LP's own tolerances decide
 CLEAR = 1e-6
+
+
+def strictly_inside(G, b, u):
+    """Whether every residual b - G u is positive in exact arithmetic on the
+    floats given: u is then a witness that {z : G z <= b} has an interior."""
+    u = [Fraction(v) for v in u]
+    return all(Fraction(bj) > sum(Fraction(g) * v for g, v in zip(row, u))
+               for row, bj in zip(G.tolist(), b.tolist()))
 
 
 def boundary_state(qp, direction):
@@ -56,7 +64,12 @@ def mixed_states(rng, qp):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
+@example(1300)  # the Chebyshev LP gives -0.0 at a boundary state with an interior
 def test_stacked_solve_matches_row_by_row_solves_and_the_lp_oracle(seed):
+    # A solved row is checked by its own witness: u_eta strictly inside,
+    # exactly. The LP oracle judges only the rows the barrier gives up on;
+    # at a state bisected onto the boundary it can call an interior of
+    # radius 5e-9 empty.
     rng = np.random.default_rng(seed)
     _, qp = random_system(rng)
     bp = make_barrier_problem(qp, float(10.0 ** rng.uniform(-3, 0)), outer_radius=1.0)
@@ -66,19 +79,19 @@ def test_stacked_solve_matches_row_by_row_solves_and_the_lp_oracle(seed):
     kinds = set()
     for i, x in enumerate(X):
         b = qp.bounds_rhs(x)
-        r = interior_radius(qp.G, b)
-        scale = 1.0 + np.max(np.abs(b) / np.maximum(np.linalg.norm(qp.G, axis=1), 1e-300))
         try:
             seq = solve_barrier(bp, x)
         except InfeasibleError:
             seq = None
         if seq is None:
+            r = interior_radius(qp.G, b)
+            scale = 1.0 + np.max(np.abs(b) / np.maximum(np.linalg.norm(qp.G, axis=1), 1e-300))
             assert batch.errors[i] is not None and np.isnan(batch.u_eta[i]).all()
             assert np.isnan(J[i]).all()
             assert r <= CLEAR * scale, (i, r)
             kinds.add("empty" if r < 0 else "no interior")
             continue
-        assert batch.errors[i] is None and r >= EMPTY * scale, (i, r)
+        assert batch.errors[i] is None and strictly_inside(qp.G, b, batch.u_eta[i]), i
         assert np.all(batch.phi[i] > 0)
         err = float(np.linalg.norm(batch.u_eta[i] - seq.u_eta))
         row = SimpleNamespace(grad_norm=batch.grad_norm[i])

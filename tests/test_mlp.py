@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from smoothmpc.mlp import AdamW, MLPPolicy, TrainConfig, gelu, gelu_prime, gelu_second, train_imitator
 from smoothmpc.simulate import ImitationDataset
+import mlp_oracles
 
 RNG = np.random.default_rng(123)
 
@@ -224,3 +227,39 @@ def test_training_is_bitwise_deterministic():
     p2, c2 = train_imitator(ds, cfg, halfwidths=[5.0, 5.0])
     assert np.array_equal(p1.params, p2.params)
     assert np.array_equal(c1["train"], c2["train"])
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), width=st.integers(1, 64),
+       B=st.sampled_from([1, 2, 37, 128]), lam=st.sampled_from([0.0, 0.5]),
+       with_jac=st.booleans())
+def test_in_place_step_matches_the_allocating_oracle_bit_for_bit(seed, width, B, lam, with_jac):
+    # The gradient is compared by value: a term of -0.0 stays -0.0 when
+    # written straight into its view, where the oracle's zeros + (-0.0) gave
+    # +0.0. AdamW's moments and the parameters come out the same bits.
+    rng = np.random.default_rng(seed)
+    d_x, d_u = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    halfwidths = 10.0 ** rng.uniform(-1, 1, d_x)
+    net = MLPPolicy.init(d_x, d_u, width=width, halfwidths=halfwidths, seed=seed % 1000)
+    net.params += 0.3 * rng.standard_normal(net.params.size)
+    ref = MLPPolicy(net.weights, net.biases, halfwidths)
+    X = rng.uniform(-2.0, 2.0, (B, d_x)) * halfwidths
+    U = rng.uniform(-1.0, 1.0, (B, d_u))
+    Jt = rng.uniform(-1.0, 1.0, (B, d_u, d_x)) if with_jac else None
+    opt = AdamW(net.params, lr=1e-2, weight_decay=1e-2)
+    opt_ref = mlp_oracles.AdamW(ref.params, lr=1e-2, weight_decay=1e-2)
+    prev = None
+    for _ in range(200):
+        loss, grad = net.loss_and_grads(X, U, Jt, lam)
+        loss_ref, grad_ref = mlp_oracles.loss_and_grads(ref, X, U, Jt, lam)
+        assert loss == loss_ref
+        assert np.array_equal(grad, grad_ref)
+        if prev is not None:
+            assert not np.shares_memory(grad, prev[0])
+            assert np.array_equal(prev[0], prev[1])  # untouched by this call
+        prev = (grad, grad.copy())
+        opt.step(grad)
+        opt_ref.step(grad_ref)
+        assert net.params.tobytes() == ref.params.tobytes()
+    assert opt.m.tobytes() == opt_ref.m.tobytes() and opt.v.tobytes() == opt_ref.v.tobytes()
+    assert np.array_equal(net.eval_batch(X), mlp_oracles.forward(ref, X)[1][-1])
