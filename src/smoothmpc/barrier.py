@@ -148,6 +148,7 @@ class BarrierBatch:
     A row whose input polytope has no strict interior holds NaN in
     ``u_eta``, ``phi`` and ``grad_norm``, 0 in ``newton_iters``, and its
     InfeasibleError in ``errors``, which is None at every solved row.
+    ``steps`` holds each Newton iteration's (rows, squared decrements).
     """
 
     u_eta: np.ndarray
@@ -155,6 +156,17 @@ class BarrierBatch:
     newton_iters: np.ndarray
     grad_norm: np.ndarray
     errors: tuple
+    steps: tuple
+
+    def row(self, i: int) -> BarrierSolution:
+        """Row i as one solution; raises the row's error where it has none."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return BarrierSolution(
+            u_eta=self.u_eta[i], phi=self.phi[i], newton_iters=int(self.newton_iters[i]),
+            grad_norm=float(self.grad_norm[i]),
+            decrements=tuple(math.sqrt(max(float(v), 0.0))
+                             for rows, dec2 in self.steps for v in dec2[rows == i]))
 
 
 def _certificate(G: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarray | None:
@@ -389,22 +401,19 @@ def _phase_one(G: np.ndarray, GT: np.ndarray, b: np.ndarray) -> tuple:
         last_iterate=z[0, :n], grad_norm=float("nan"), iters=MAX_PHASE_ONE_ITERS)
 
 
-def _solve_states(bp: BarrierProblem, X: np.ndarray, warm, record) -> BarrierBatch:
+def solve_barrier_batch(bp: BarrierProblem, X: np.ndarray) -> BarrierBatch:
     """Minimize the barrier objective at each row of a (B, d_x) stack of states.
 
-    Each row starts from the first strictly feasible of its ``warm`` row
-    (an input sequence, typically the solution at a nearby state or eta),
-    that row shifted by one input block, and u = 0, the exact minimizer at
-    x0 = 0; a start within PHASE_ONE_FLOOR of a facet, in the scale of
-    ``_phase_one``, does not count. Rows with none of them run
-    ``_phase_one`` together, and rows
-    with no strict interior are marked in ``errors``: their Farkas
-    certificate runs its LP only when read. Then one Newton
-    (``_newton``) runs over every solved row. Raises
-    NewtonConvergenceError for the first row that does not reach the
-    gradient tolerance 1e-10 (1 + |F^T x0|), or the cancellation floor of
-    its residuals. ``record``, a list or None, receives the Newton
-    decrements (``_newton``).
+    Each row starts from u = 0, the exact minimizer at x0 = 0, when its
+    least residual there, as a distance to the facet, exceeds the floor
+    below which ``_phase_one`` calls the interior empty: Newton from a
+    start that close to a facet only doubles the tight residual per step
+    and stalls. The other rows run ``_phase_one`` together, and rows with
+    no strict interior are marked in ``errors``: their Farkas certificate
+    runs its LP only when read. Then one Newton (``_newton``) runs over
+    every solved row. Raises NewtonConvergenceError for the first row that
+    does not reach the gradient tolerance 1e-10 (1 + |F^T x0|), or the
+    cancellation floor of its residuals.
     """
     qp = bp.qp
     eta = bp.eta
@@ -425,30 +434,13 @@ def _solve_states(bp: BarrierProblem, X: np.ndarray, warm, record) -> BarrierBat
     g_scale = 1.0 + np.sqrt(np.vecdot(f, f))
     tol = GRAD_TOL_FACTOR * g_scale
 
-    u = np.full((B, qp.n), np.nan)
-    todo = solved.copy()
-    zero = np.zeros((B, qp.n))
-    starts = [zero]
-    if warm is not None:
-        warm = np.asarray(warm, dtype=float).reshape(B, qp.n)
-        # the receding-horizon successor of warm: after a closed-loop step
-        # the tail of the previous plan, padded with a zero input, is
-        # usually feasible when the plan itself is not
-        starts = [warm, np.concatenate([warm[:, qp.d_u:], zero[:, : qp.d_u]], axis=1), zero]
-    # A start counts as strictly feasible when its least residual, as a
-    # distance to the facet, exceeds the floor below which phase I calls
-    # the interior empty: Newton from a start that close to a facet only
-    # doubles the tight residual per step and stalls.
-    norms = np.linalg.norm(G, axis=1)
-    floor = PHASE_ONE_FLOOR * (1.0 + np.abs(ba / norms).max(axis=1, initial=0.0))
-    for start in starts:
-        ok = todo & (((ba - start @ GT) / norms).min(axis=1, initial=np.inf) > floor)
-        u[ok] = start[ok]
-        todo &= ~ok
-        if not todo.any():
-            break
-    else:
-        cold = np.flatnonzero(todo)
+    u = np.zeros((B, qp.n))
+    u[~solved] = np.nan
+    dist = ba / np.linalg.norm(G, axis=1)
+    clear = dist.min(axis=1, initial=np.inf) > PHASE_ONE_FLOOR * (
+        1.0 + np.abs(dist).max(axis=1, initial=0.0))
+    cold = np.flatnonzero(solved & ~clear)
+    if cold.size:
         u[cold], reasons = _phase_one(G, GT, ba[cold])
         for i, why in zip(cold, reasons):
             if why is not None:
@@ -457,14 +449,13 @@ def _solve_states(bp: BarrierProblem, X: np.ndarray, warm, record) -> BarrierBat
 
     iters = np.zeros(B, dtype=int)
     gnorm = np.full(B, np.nan)
-    if solved.all():  # no row copies
-        u, gnorm, iters = _newton(u, ba - u @ GT, qp.H, f - eta * bp.d, eta, G, GT, ba,
-                                  np.minimum(tol, 1e-12 * g_scale), MAX_NEWTON_ITERS, record)
-    elif solved.any():
-        u0, b0 = u[solved], ba[solved]
-        u[solved], gnorm[solved], iters[solved] = _newton(
-            u0, b0 - u0 @ GT, qp.H, f[solved] - eta * bp.d, eta, G, GT, b0,
-            np.minimum(tol[solved], 1e-12 * g_scale[solved]), MAX_NEWTON_ITERS, record)
+    rows = np.flatnonzero(solved)
+    steps = []
+    if rows.size:
+        u0, b0 = u[rows], ba[rows]
+        u[rows], gnorm[rows], iters[rows] = _newton(
+            u0, b0 - u0 @ GT, qp.H, f[rows] - eta * bp.d, eta, G, GT, b0,
+            np.minimum(tol[rows], 1e-12 * g_scale[rows]), MAX_NEWTON_ITERS, steps)
     for i in np.flatnonzero(gnorm > tol):
         # phi near zero is computed as a difference of O(b) quantities, so
         # the gradient cannot be evaluated below this cancellation floor;
@@ -477,32 +468,18 @@ def _solve_states(bp: BarrierProblem, X: np.ndarray, warm, record) -> BarrierBat
                 f"Newton stalled at gradient norm {gnorm[i]:.3e} (tol {tol[i]:.3e})",
                 last_iterate=u[i], grad_norm=float(gnorm[i]), iters=int(iters[i]))
     return BarrierBatch(u_eta=u, phi=b - u @ qp.G.T, newton_iters=iters, grad_norm=gnorm,
-                        errors=tuple(errors))
+                        errors=tuple(errors),
+                        steps=tuple((rows[live], dec2) for live, dec2 in steps))
 
 
-def solve_barrier_batch(bp: BarrierProblem, X: np.ndarray,
-                        warm: np.ndarray | None = None) -> BarrierBatch:
-    """Minimize the barrier objective at each row of a (B, d_x) stack of
-    states, ``warm`` a (B, n) stack of starts or None (``_solve_states``)."""
-    return _solve_states(bp, X, warm, None)
-
-
-def solve_barrier(bp: BarrierProblem, x0: np.ndarray,
-                  warm: np.ndarray | None = None) -> BarrierSolution:
+def solve_barrier(bp: BarrierProblem, x0: np.ndarray) -> BarrierSolution:
     """Minimize the barrier objective at x0 to gradient tolerance: the
-    one-row stack of ``solve_barrier_batch``, with its decrement history.
+    one-row stack of ``solve_barrier_batch``.
 
     Raises InfeasibleError when no strict interior exists and
     NewtonConvergenceError when 200 iterations do not reach tolerance.
     """
-    decs: list = []
-    batch = _solve_states(bp, np.asarray(x0, dtype=float)[None, :], warm, decs)
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
-    return BarrierSolution(u_eta=batch.u_eta[0], phi=batch.phi[0],
-                           newton_iters=int(batch.newton_iters[0]),
-                           grad_norm=float(batch.grad_norm[0]),
-                           decrements=tuple(math.sqrt(max(float(v[0]), 0.0)) for _, v in decs))
+    return solve_barrier_batch(bp, np.asarray(x0, dtype=float)[None, :]).row(0)
 
 
 def _sensitivity(bp: BarrierProblem, phi: np.ndarray):

@@ -18,7 +18,6 @@ from .barrier import (
     BarrierBatch,
     BarrierProblem,
     barrier_hessian,
-    barrier_jacobian,
     barrier_jacobian_batch,
     make_barrier_problem,
     solve_barrier,
@@ -181,10 +180,7 @@ class BarrierExpert:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """First input at one state; raises InfeasibleError where it has none."""
-        batch = self._solutions(np.asarray(x, dtype=float)[None, :])
-        if batch.errors[0] is not None:
-            raise batch.errors[0]
-        return batch.u_eta[0, : self.bp.qp.d_u]
+        return self._solutions(np.asarray(x, dtype=float)[None, :]).row(0).u_eta[: self.bp.qp.d_u]
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """First inputs at the rows of X, NaN rows where infeasible."""
@@ -462,6 +458,11 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
                  with_hessian: bool = True) -> tuple:
     """Evaluate every bound calculator against solver measurements.
 
+    The states kept are the first n_states sampled ones whose Chebyshev
+    radius is at least 5e-2. Each eta solves them as one stack
+    (``solve_barrier_batch``); rows and reports come state by state, and
+    the first state with no solution raises its error.
+
     Returns (rows, reports, skipped) where skipped lists (eta, reason) for
     grid entries the barrier problem is undefined at (eta <= 0).
     """
@@ -472,29 +473,33 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
     L = max_gain_norm(qp, sigmas)
     C = c_constant(qp, sigmas)
     states = bench.sample_initial_states(4 * n_states, seed=seed)
-    rows, reports = [], []
-    kept = 0
     row_ok = np.linalg.norm(qp.G, axis=1) >= 1.0 - 1e-12
     from .explicit import solve_qp
 
+    kept = []  # (x0, radii, u_star)
     for x0 in states:
-        if kept >= n_states:
+        if len(kept) >= n_states:
             break
         try:
             rad = feasible_radii(qp, x0)
             if rad.r < 5e-2:  # decides which sampled states the sweep keeps
                 continue
-            u_star = solve_qp(qp, x0).u_star
+            kept.append((x0, rad, solve_qp(qp, x0).u_star))
         except InfeasibleError:
             continue
-        kept += 1
-        sol = None
+    solves = []  # (bp, solutions, Jacobians) per eta, each one stack over the kept states
+    if kept:
+        X = np.array([x0 for x0, _, _ in kept])
         for eta in eta_grid:
-            bp = make_barrier_problem(qp, float(eta), outer_radius=bench.outer_radius)
-            # the previous eta's minimizer is strictly feasible at the same state
-            sol = solve_barrier(bp, x0, warm=None if sol is None else sol.u_eta)
+            bp = make_barrier_problem(qp, eta, outer_radius=bench.outer_radius)
+            batch = solve_barrier_batch(bp, X)
+            solves.append((bp, batch, barrier_jacobian_batch(bp, batch.phi)))
+    rows, reports = [], []
+    for i, (x0, rad, u_star) in enumerate(kept):
+        for bp, batch, jacs in solves:
+            sol = batch.row(i)
             err = float(np.linalg.norm(sol.u_eta - u_star))
-            ctx = {"x0": tuple(np.round(x0, 6)), "eta": float(eta)}
+            ctx = {"x0": tuple(np.round(x0, 6)), "eta": bp.eta}
             eb = error_upper(bp)
             reports.append(BoundReport.check("error_upper", err, eb, ctx))
             res_lb = residual_lower_bound(bp, x0, u_star, radii=rad)
@@ -514,7 +519,6 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
             except NotApplicableError:
                 gap = float("nan")
                 dir_lo = dir_hi = float("nan")
-            jac = barrier_jacobian(bp, sol)
             hess_norm = float("nan")
             hess_bound = float("nan")
             if with_hessian:
@@ -522,11 +526,11 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
                 hess_bound = hessian_upper_bound(bp, x0, L, C, u_star=u_star, radii=rad)
                 reports.append(BoundReport.check("hessian_upper", hess_norm, hess_bound, ctx))
             rows.append({
-                "x0_0": x0[0], "x0_1": x0[1] if qp.d_x > 1 else 0.0, "eta": float(eta),
+                "x0_0": x0[0], "x0_1": x0[1] if qp.d_x > 1 else 0.0, "eta": bp.eta,
                 "gap_norm": err, "error_upper": eb, "min_residual": min_phi,
                 "residual_floor": res_lb, "first_residual_floor": first,
                 "directional_gap": gap, "directional_lower": dir_lo,
-                "directional_upper": dir_hi, "jacobian_norm": float(np.linalg.norm(jac, 2)),
+                "directional_upper": dir_hi, "jacobian_norm": float(np.linalg.norm(jacs[i], 2)),
                 "hessian_norm": hess_norm, "hessian_upper": hess_bound,
                 "newton_iters": sol.newton_iters,
             })
@@ -535,18 +539,16 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
 
 # --- imitation ---------------------------------------------------------------
 
-def imitation_run(bench: Workbench, expert, jacobian_fn, N: int, K: int,
-                  train_cfg: TrainConfig, seed: int, n_eval: int = 20,
-                  artifact_dir=None, tag: str = "") -> dict:
+def imitation_run(bench: Workbench, expert, N: int, K: int, train_cfg: TrainConfig,
+                  seed: int, n_eval: int = 20, artifact_dir=None, tag: str = "") -> dict:
     """Dataset -> train -> evaluate for one expert and one seed.
 
-    ``jacobian_fn(X)`` gives the expert's Jacobians at a stack of states
-    (``sample_dataset``). They are sampled only when something reads
-    them: the TaSIL term (``train_cfg.lambda_jac > 0``) or the written
-    dataset. Only then does a start whose Jacobian label fails count as
-    rejected. With ``artifact_dir`` set, the dataset and the training
-    curve are written as CSV files named by ``tag`` (each run owns its
-    own paths).
+    The expert's Jacobian labels (``expert.jacobian_batch``, see
+    ``sample_dataset``) are sampled only when something reads them: the
+    TaSIL term (``train_cfg.lambda_jac > 0``) or the written dataset. Only
+    then does a start whose Jacobian label fails count as rejected. With
+    ``artifact_dir`` set, the dataset and the training curve are written
+    as CSV files named by ``tag`` (each run owns its own paths).
     """
 
     def sampler(rng):
@@ -554,7 +556,7 @@ def imitation_run(bench: Workbench, expert, jacobian_fn, N: int, K: int,
 
     labels = train_cfg.lambda_jac > 0.0 or artifact_dir is not None
     ds = sample_dataset(bench.sys, expert, sampler, N=N, K=K, seed=seed,
-                        jacobian_fn=jacobian_fn if labels else None)
+                        jacobian_fn=expert.jacobian_batch if labels else None)
     cfg = TrainConfig(**{**train_cfg.__dict__, "seed": seed})
     policy, curves = train_imitator(ds, cfg, halfwidths=[bench.state_halfwidth] * bench.qp.d_x)
     if artifact_dir is not None:
@@ -604,9 +606,8 @@ class _ImitationTask:
         else:
             expert = self.bench.randomized_expert(param, n_samples=self.n_samples,
                                                   seed=seed)
-        out = imitation_run(self.bench, expert, expert.jacobian_batch, self.N, self.K,
-                            self.train_cfg, seed, n_eval=self.n_eval,
-                            artifact_dir=self.artifact_dir,
+        out = imitation_run(self.bench, expert, self.N, self.K, self.train_cfg, seed,
+                            n_eval=self.n_eval, artifact_dir=self.artifact_dir,
                             tag=f"{kind}_{param:g}_s{seed}")
         return {"expert": kind, "param": param, "matched_L1": l1, "seed": seed, **out}
 

@@ -137,9 +137,9 @@ def gain_for_sigma(qp: CondensedQP, sigma: ActiveSet | np.ndarray,
                    pseudo: bool = False) -> AffinePiece:
     """Affine gains (K_sigma, k_sigma) for a given active set.
 
-    Requires det([G H^{-1} G^T]_sigma) > 0; with ``pseudo`` the padded
-    pseudoinverse is used instead, matching the degenerate-set convention
-    of the gain-variation constant.
+    Requires the rows of sigma to be independent (``is_singular_submatrix``);
+    with ``pseudo`` the padded pseudoinverse is used instead, matching the
+    degenerate-set convention of the gain-variation constant.
     """
     if not isinstance(sigma, ActiveSet):
         sigma = ActiveSet(sigma)
@@ -579,7 +579,8 @@ class PieceTableEvaluator:
 
 
 def enumerate_nonsingular_sigmas(qp: CondensedQP):
-    """All sigma with det([G H^{-1} G^T]_sigma) > 0, for m <= MAX_ENUMERATION_M."""
+    """All sigma of at most n independent rows (``is_singular_submatrix``),
+    for m <= MAX_ENUMERATION_M."""
     from .matrixops import all_sigmas
 
     if qp.m > MAX_ENUMERATION_M:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qp import FEAS_TOL
+
 __all__ = [
     "adjugate",
     "padded_inverse",
@@ -33,11 +35,6 @@ __all__ = [
     "selftest",
     "SingularSubmatrixError",
 ]
-
-# |det| below this times the product of submatrix row norms counts as zero
-# when classifying active sets into nonsingular/singular.
-SINGULAR_DET_RTOL = 1e-12
-
 
 class SingularSubmatrixError(np.linalg.LinAlgError):
     """Principal submatrix selected by sigma is singular."""
@@ -85,20 +82,36 @@ def submatrix(M: np.ndarray, sigma) -> np.ndarray:
     return M[np.ix_(s, s)]
 
 
-def is_singular_submatrix(M: np.ndarray, sigma, rtol: float = SINGULAR_DET_RTOL) -> bool:
-    """Whether det([M]_sigma) counts as zero.
+def is_singular_submatrix(M: np.ndarray, sigma) -> bool:
+    """Whether the vectors v_i, i in sigma, of a Gram matrix M_ij = <v_i, v_j>
+    are dependent.
 
-    The threshold is rtol times the product of the submatrix row norms
-    (Hadamard bound scale), so the test is invariant to uniform scaling.
+    They count as independent when some order gives each, normalized, a
+    squared distance above FEAS_TOL from the span of those before it: the
+    test by which the dual QP (``qp.raw_solve_qp``) adds a row to its
+    working set, so every working set it returns passes. Removing a vector
+    only moves the others away from the span, so such an order exists
+    exactly when the vectors whose squared distance from the span of all
+    the others, 1 / (C^-1)_ii for the normalized Gram matrix C, exceeds
+    FEAS_TOL can be removed, again and again, until none is left. The test
+    is invariant to scaling the vectors.
     """
     sub = submatrix(M, sigma)
-    k = sub.shape[0]
-    if k == 0:
-        return False  # empty submatrix has det 1 by convention
-    scale = float(np.prod(np.linalg.norm(sub, axis=1)))
-    if scale == 0.0:
+    diag = np.diagonal(sub)
+    if np.any(diag <= 0.0):
         return True
-    return abs(np.linalg.det(sub)) <= rtol * scale
+    C = sub / np.sqrt(np.outer(diag, diag))
+    while C.shape[0]:
+        try:
+            L = np.linalg.cholesky(C)
+        except np.linalg.LinAlgError:
+            return True
+        Linv = np.linalg.solve(L, np.eye(C.shape[0]))
+        far = 1.0 / np.sum(Linv * Linv, axis=0) > FEAS_TOL
+        if not far.any():
+            return True
+        C = C[np.ix_(~far, ~far)]
+    return False
 
 
 def _pad(block: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -111,8 +124,8 @@ def _pad(block: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def padded_inverse(M: np.ndarray, sigma) -> np.ndarray:
     """Zero-padded inverse of the principal submatrix [M]_sigma.
 
-    Raises SingularSubmatrixError when the submatrix is singular by the
-    scaled determinant test. sigma = all-zeros returns the zero matrix.
+    Raises SingularSubmatrixError when ``is_singular_submatrix`` calls the
+    submatrix singular. sigma = all-zeros returns the zero matrix.
     """
     M = np.asarray(M, dtype=float)
     s = _as_sigma(sigma, M.shape[0])

@@ -39,7 +39,7 @@ __all__ = [
 # a row counts as violated when (G z - b)_i > FEAS_TOL * (1 + |b_i|); a
 # row p counts as dependent on the working rows when, in the H^-1 inner
 # product, the squared norm of its part outside their span is at most
-# FEAS_TOL * (G H^-1 G^T)_pp
+# FEAS_TOL * (G H^-1 G^T)_pp, the rule of matrixops.is_singular_submatrix
 FEAS_TOL = 1e-10
 
 

@@ -64,8 +64,7 @@ def draw_noise(distribution: str, n: int, dim: int, rng: np.random.Generator) ->
 
 def pi_rs(policy, cfg: SmoothingConfig, x: np.ndarray, projector=None) -> np.ndarray:
     """Smoothed control at one state: one row of ``RandomizedPolicy.eval_batch``."""
-    x = np.asarray(x, dtype=float)
-    return RandomizedPolicy(policy, cfg, projector=projector).eval_batch(x[None, :])[0]
+    return RandomizedPolicy(policy, cfg, projector=projector)(x)
 
 
 class RandomizedPolicy:
@@ -83,7 +82,7 @@ class RandomizedPolicy:
         self.projector = projector
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return pi_rs(self.base, self.cfg, x, projector=self.projector)
+        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     @staticmethod
     @functools.lru_cache(maxsize=16)

@@ -4,9 +4,8 @@ These are the loops the lockstep engine of ``smoothmpc.simulate``
 replaced, kept as oracles: each start is rolled on its own, one state per
 policy call, and a dataset draws, rolls and accepts one proposal at a
 time. A policy is asked for one state as a one-row stack. ``Rows`` turns
-a single-state function into a batch evaluator, and ``WarmChainExpert``
-is the barrier expert that solved one state at a time, warm-started from
-its previous solution.
+a single-state function into a batch evaluator, and ``OneStateExpert``
+is the barrier expert that solved one state at a time.
 """
 
 import numpy as np
@@ -42,10 +41,10 @@ class Rows:
         return np.array([np.atleast_1d(np.asarray(self.f(x), dtype=float)) for x in X])
 
 
-class WarmChainExpert:
-    """The barrier expert as one state at a time: each solve warm-starts
-    from the previous solution, and a call at the same state, bit for bit,
-    reuses it. Results depend on the order of calls."""
+class OneStateExpert:
+    """The barrier expert as one state at a time: each state is one cold
+    ``solve_barrier``, and a call at the same state as the last, bit for
+    bit, reuses its solution."""
 
     def __init__(self, bp):
         self.bp = bp
@@ -53,15 +52,9 @@ class WarmChainExpert:
 
     def solve(self, x):
         x = np.asarray(x, dtype=float)
-        warm = None
-        if self.last is not None:
-            key, sol = self.last
-            if key == x.tobytes():
-                return sol
-            warm = sol.u_eta
-        sol = solve_barrier(self.bp, x, warm=warm)
-        self.last = (x.tobytes(), sol)
-        return sol
+        if self.last is None or self.last[0] != x.tobytes():
+            self.last = (x.tobytes(), solve_barrier(self.bp, x))
+        return self.last[1]
 
     def eval_batch(self, X):
         (x,) = np.atleast_2d(X)

@@ -1,5 +1,7 @@
 """Barrier solver, closed-form Jacobian, convex combination, solution Hessian."""
 
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from smoothmpc.barrier import (
     solve_barrier,
     tensor_spectral_norm,
 )
+from smoothmpc.bounds import newton_log_barrier
 from smoothmpc.core import (
     BoxlikeConstraints,
     LinearSystem,
@@ -26,6 +29,7 @@ from smoothmpc.core import (
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.explicit import solve_qp
 from smoothmpc.qp import chebyshev_center
+from systems import cold_state, random_system, tolerance
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,36 @@ def test_solution_at_origin_is_zero(di_qp, di_radius):
         sol = solve_barrier(bp, np.zeros(2))
         assert np.linalg.norm(sol.u_eta) <= 1e-9
         assert np.all(sol.phi > 0)
+
+
+@pytest.mark.parametrize("eta", [1e-3, 1.0])
+def test_solve_at_origin_takes_no_newton_step(eta):
+    rng = np.random.default_rng(6)
+    _, qp = random_system(rng)
+    sol = solve_barrier(make_barrier_problem(qp, eta, outer_radius=1.0), np.zeros(qp.d_x))
+    assert sol.newton_iters == 0 and not sol.u_eta.any()
+
+
+def test_phase_one_start_matches_the_chebyshev_start_on_random_systems():
+    # at states where u = 0 is infeasible, against the same Newton from the
+    # Chebyshev center (bounds.newton_log_barrier), each to its gradient norm
+    rng = np.random.default_rng(3)
+    cases = 0
+    while cases < 25:
+        _, qp = random_system(rng)
+        bp = make_barrier_problem(qp, float(10.0 ** rng.uniform(-3, 0)))
+        found = cold_state(rng, bp)
+        if found is None:
+            continue
+        x0, sol = found
+        active = np.linalg.norm(qp.G, axis=1) > 0
+        G, b = qp.G[active], qp.bounds_rhs(x0)[active]
+        lin = bp.eta * bp.d - qp.F.T @ x0
+        u = newton_log_barrier(qp.H, lin, G, b, bp.eta)
+        grad = qp.H @ u + lin + bp.eta * G.T @ (1.0 / (b - G @ u))
+        ref = SimpleNamespace(grad_norm=float(np.linalg.norm(grad)))
+        assert np.linalg.norm(sol.u_eta - u) <= tolerance(qp, x0, sol, ref)
+        cases += 1
 
 
 def test_gradient_norm_invariant(di_qp, di_radius):
@@ -181,8 +215,6 @@ def test_jacobian_formula_at_origin(di_qp, di_radius):
 
 
 def test_jacobian_matches_m_space_formula_at_interior_states(di_qp, di_radius):
-    from test_warm_start import random_system
-
     rng = np.random.default_rng(5)
     cases = [(di_qp, di_radius, rng.uniform(-4, 4, size=2)) for _ in range(10)]
     while len(cases) < 20:
@@ -239,8 +271,6 @@ def test_jacobian_matches_mp_reference_at_feasibility_boundary(di_qp, di_radius)
 
 
 def test_jacobian_matches_mp_reference_at_boundary_of_random_systems():
-    from test_warm_start import random_system
-
     rng = np.random.default_rng(3)
     etas = (1e-3, 1e-2, 0.1, 1.0)
     for i in range(8):
@@ -368,8 +398,6 @@ def assert_hessian_matches_oracle(bp, x0, h):
 
 
 def test_hessian_matches_richardson_oracle_on_random_systems():
-    from test_warm_start import random_system
-
     rng = np.random.default_rng(0)
     dims = []
     while len(dims) < 20:
@@ -474,8 +502,6 @@ def test_tensor_norm_two_d_is_exact_on_random_and_degenerate_tensors():
 
 
 def test_tensor_norm_power_iteration_dominates_sphere_sample():
-    from test_warm_start import random_system
-
     rng = np.random.default_rng(1)
     checked = 0
     while checked < 3:

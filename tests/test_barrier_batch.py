@@ -17,7 +17,7 @@ from smoothmpc.barrier import (
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import feasible_polygon
 from qp_oracles import interior_radius
-from test_warm_start import random_system, tolerance
+from systems import random_system, tolerance
 
 # the oracle's verdict is taken as clear below CLEAR times the offsets'
 # scale; above, the LP's own tolerances decide

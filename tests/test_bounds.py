@@ -27,6 +27,7 @@ from smoothmpc.core import build_condensed, double_integrator_problem, feasible_
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.explicit import c_constant, enumerate_nonsingular_sigmas, max_gain_norm, solve_qp
 from qp_oracles import primal_active_set_qp
+from systems import random_bounded_polytope
 
 
 @pytest.fixture(scope="module")
@@ -221,13 +222,6 @@ def test_directional_bounds_match_quad_opt_sandwich(clip_qp):
             assert abs(lower - db.lower) <= 1e-9 * abs(db.lower)
             checked += 1
     assert checked == 6
-
-
-def random_bounded_polytope(rng, n, extra_rows):
-    G = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((extra_rows, n))])
-    b = np.concatenate([rng.uniform(0.5, 2.0, size=2 * n),
-                        rng.uniform(0.5, 2.0, size=extra_rows)])
-    return G, b
 
 
 def test_quad_opt_bounds_random_polytopes():

@@ -22,7 +22,7 @@ from smoothmpc.core import (
 from smoothmpc.errors import ConfigurationError, InfeasibleError, UnboundedError
 from smoothmpc.qp import bounding_box, chebyshev_center, support
 from qp_oracles import support_loop_box
-from test_warm_start import random_system
+from systems import random_system
 
 RNG = np.random.default_rng(7)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import smoothmpc.explicit as explicit
 from smoothmpc.errors import DegenerateActiveSetError, InfeasibleError
 from smoothmpc.explicit import PieceCollection, discover_pieces, solve_qp, state_grid
-from test_warm_start import random_system
+from systems import random_system
 
 
 def grid_wide_discovery(qp, grid):

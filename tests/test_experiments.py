@@ -6,7 +6,13 @@ from scipy.spatial import ConvexHull
 
 import smoothmpc.experiments
 import smoothmpc.qp
-from smoothmpc.barrier import GRAD_TOL_FACTOR, barrier_hessian, solve_barrier
+from smoothmpc.barrier import (
+    GRAD_TOL_FACTOR,
+    barrier_hessian,
+    barrier_jacobian,
+    solve_barrier,
+    tensor_spectral_norm,
+)
 from smoothmpc.config import default_config
 from smoothmpc.core import (
     BoxlikeConstraints,
@@ -33,7 +39,7 @@ from smoothmpc.mlp import TrainConfig
 from smoothmpc.qp import bounding_box, chebyshev_center, support
 from qp_oracles import support_loop_box
 from test_barrier import assert_exact_planar_norm
-from test_warm_start import random_system
+from systems import random_system, tolerance
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +334,42 @@ def test_tensor_norm_is_exact_on_the_bounds_sweep_hessians(bench, monkeypatch):
         assert_exact_planar_norm(T)
 
 
+def test_bounds_sweep_solves_each_eta_as_one_stack(bench, monkeypatch):
+    stacks = []  # (bp, states, solutions) of each stacked solve
+    real = smoothmpc.experiments.solve_barrier_batch
+
+    def stacked(bp, X):
+        stacks.append((bp, np.array(X), real(bp, X)))
+        return stacks[-1][2]
+
+    def one_state(bp, x0):
+        raise AssertionError("bounds_sweep made a one-state barrier solve")
+
+    monkeypatch.setattr(smoothmpc.experiments, "solve_barrier_batch", stacked)
+    monkeypatch.setattr(smoothmpc.experiments, "solve_barrier", one_state)
+    etas = [1e-3, 1.0]
+    rows, _, _ = bounds_sweep(bench, etas, n_states=3, seed=0)
+    monkeypatch.undo()
+    assert [bp.eta for bp, _, _ in stacks] == etas
+    assert len(rows) == 3 * len(etas)
+    qp = bench.qp
+    norms = np.linalg.norm(qp.G, axis=1)
+    for k, row in enumerate(rows):  # state by state, eta inside
+        i, j = divmod(k, len(etas))
+        bp, X, batch = stacks[j]
+        x0 = X[i]
+        assert (row["x0_0"], row["x0_1"], row["eta"]) == (x0[0], x0[1], bp.eta)
+        sol = solve_barrier(bp, x0)
+        tol = tolerance(qp, x0, sol, batch.row(i))
+        gap = np.linalg.norm(sol.u_eta - solve_qp(qp, x0).u_star)
+        assert abs(row["gap_norm"] - gap) <= tol
+        assert abs(row["min_residual"] - sol.phi[norms >= 1.0 - 1e-12].min()) <= norms.max() * tol
+        J = np.linalg.norm(barrier_jacobian(bp, sol), 2)
+        assert row["jacobian_norm"] == pytest.approx(J, rel=1e-6)
+        T = tensor_spectral_norm(barrier_hessian(bp, sol))
+        assert row["hessian_norm"] == pytest.approx(T, rel=1e-6)
+
+
 def test_randomized_expert_total_on_infeasible_states(bench):
     expert = bench.randomized_expert(2.0, n_samples=200, seed=0)
     u = expert(np.array([14.0, 0.0]))  # outside the feasible set
@@ -389,8 +431,8 @@ def test_sup_error_needs_a_state_evaluated_on_both_policies():
 def test_imitation_run_smoke(bench, tmp_path):
     cfg = TrainConfig(steps=120, batch_size=64, width=16)
     expert = bench.barrier_expert(1.0)
-    out = imitation_run(bench, expert, expert.jacobian_batch, N=3, K=6, train_cfg=cfg,
-                        seed=0, n_eval=3, artifact_dir=tmp_path, tag="t")
+    out = imitation_run(bench, expert, N=3, K=6, train_cfg=cfg, seed=0, n_eval=3,
+                        artifact_dir=tmp_path, tag="t")
     assert np.isfinite(out["mean_traj_error"])
     assert out["n_eval_failures"] == 0
     assert (tmp_path / "dataset_t.csv").exists()

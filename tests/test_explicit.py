@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smoothmpc.explicit
@@ -34,7 +34,7 @@ from smoothmpc.explicit import (
 )
 from smoothmpc.qp import raw_solve_qp
 from qp_oracles import dual_ascent_qp, primal_active_set_qp
-from test_warm_start import random_system
+from systems import random_system
 
 
 def kkt_ok(qp, x0, sol, tol=1e-8):
@@ -451,6 +451,7 @@ def test_bucketed_table_matches_scan_clip(clip_qp, shift):
 @pytest.mark.parametrize("d_x", [2, 3])
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
+@example(seed=233)  # a 10-row working set of the QP with a Gram eigenvalue of 7e-7
 def test_bucketed_table_matches_scan_random_systems(d_x, seed):
     rng = np.random.default_rng(seed)
     qp = random_system(rng)[1]

@@ -43,6 +43,7 @@ def _run(bench, monkeypatch, kind, seed, lambda_jac=0.0, artifact_dir=None):
     expert = (bench.barrier_expert(ETA) if kind == "barrier"
               else bench.randomized_expert(SIGMA, n_samples=SAMPLES, seed=seed))
     labels = Counting(expert.jacobian_batch)
+    monkeypatch.setattr(expert, "jacobian_batch", labels)
     seen = {}
     sample = smoothmpc.experiments.sample_dataset
     loss_and_grads = MLPPolicy.loss_and_grads
@@ -59,7 +60,7 @@ def _run(bench, monkeypatch, kind, seed, lambda_jac=0.0, artifact_dir=None):
     monkeypatch.setattr(smoothmpc.experiments, "sample_dataset", sampling)
     monkeypatch.setattr(MLPPolicy, "loss_and_grads", reading)
     cfg = TrainConfig(steps=3, batch_size=64, width=8, lambda_jac=lambda_jac)
-    imitation_run(bench, expert, labels, N=N, K=K, train_cfg=cfg, seed=seed, n_eval=1,
+    imitation_run(bench, expert, N=N, K=K, train_cfg=cfg, seed=seed, n_eval=1,
                   artifact_dir=artifact_dir, tag="t")
     monkeypatch.undo()
     return seen["ds"], seen["steps"].calls, labels.calls, seen["read"]

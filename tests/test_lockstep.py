@@ -11,13 +11,14 @@ summation order, depends on the stack: numpy multiplies a one-row stack
 smoothed policy through it) through gemv, and more rows through gemm. So
 stacked they agree with their one-row values to rounding, with the same
 starts accepted and the same failures. The barrier expert solves each
-stack from cold starts, and the oracle warm-starts one state from the
-last: the two agree to the Newton tolerance.
+stack in one Newton, and the oracle one state at a time: the two agree to
+the Newton tolerance.
 """
 
 import numpy as np
 import pytest
 
+import smoothmpc.experiments
 from smoothmpc.barrier import barrier_jacobian, make_barrier_problem, solve_barrier
 from smoothmpc.core import build_condensed, double_integrator_problem
 from smoothmpc.errors import InfeasibleError
@@ -27,13 +28,13 @@ from smoothmpc.mlp import MLPPolicy
 from smoothmpc.simulate import _lockstep, imitation_error, sample_dataset
 from smoothmpc.smoothing import RandomizedPolicy, SmoothingConfig
 from rollout_oracles import (
+    OneStateExpert,
     Rows,
-    WarmChainExpert,
     imitation_error_oracle,
     rollout_oracle,
     sample_dataset_oracle,
 )
-from test_warm_start import random_system, tolerance
+from systems import random_system, tolerance
 
 N, K = 6, 8
 
@@ -174,22 +175,45 @@ def test_barrier_dataset_matches_the_warm_chain_within_the_newton_tolerance(case
         sys_, qp = case["sys"], case["qp"]
         bp = make_barrier_problem(qp, 0.05)
         expert = BarrierExpert(bp)
-        chain = WarmChainExpert(bp)
-        ref, drawn_ref = sample_dataset_oracle(sys_, chain, case["sampler"], N, K, seed=7,
-                                               jacobian_fn=chain.jacobian_batch)
+        one = OneStateExpert(bp)
+        ref, drawn_ref = sample_dataset_oracle(sys_, one, case["sampler"], N, K, seed=7,
+                                               jacobian_fn=one.jacobian_batch)
         draw, drawn = _counted(case["sampler"])
         ds = sample_dataset(sys_, expert, draw, N, K, seed=7, jacobian_fn=expert.jacobian_batch)
         assert np.array_equal(np.array(drawn), np.array(drawn_ref)), case["name"]
         assert np.array_equal(ds.states[:, 0], ref.states[:, 0])
         assert np.allclose(ds.states, ref.states, rtol=1e-6, atol=1e-6)
-        # every recorded row against a warm-chained solve at its own state
-        check = WarmChainExpert(bp)
+        # every recorded row against a one-state solve at its own state
         for x, u, J in zip(ds.states.reshape(N * K, -1), ds.inputs.reshape(N * K, -1),
                            ds.jacobians.reshape(N * K, qp.d_u, -1)):
-            warm, cold = check.solve(x), solve_barrier(bp, x)
-            assert np.linalg.norm(u - warm.u_eta[: qp.d_u]) <= tolerance(qp, x, warm, cold)
-            Jref = barrier_jacobian(bp, warm)[: qp.d_u]
+            sol = solve_barrier(bp, x)
+            assert np.linalg.norm(u - sol.u_eta[: qp.d_u]) <= tolerance(qp, x, sol, sol)
+            Jref = barrier_jacobian(bp, sol)[: qp.d_u]
             assert np.abs(J - Jref).max() <= 1e-6 * (1.0 + np.abs(Jref).max())
+
+
+def test_sample_dataset_solves_each_recorded_state_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    sys_, qp = random_system(rng)
+    bp = make_barrier_problem(qp, 0.05)
+    solved = []
+    real = smoothmpc.experiments.solve_barrier_batch
+
+    def counted(bp_, X):
+        batch = real(bp_, X)
+        solved.extend(x.tobytes() for x in np.asarray(X, dtype=float))
+        return batch
+
+    monkeypatch.setattr(smoothmpc.experiments, "solve_barrier_batch", counted)
+    expert = BarrierExpert(bp)
+    N, K = 4, 6
+    ds = sample_dataset(sys_, expert, lambda r: r.uniform(-0.3, 0.3, size=qp.d_x),
+                        N=N, K=K, seed=0, jacobian_fn=expert.jacobian_batch)
+    assert len(solved) == N * K  # stacked rows; a rejected proposal's rows would count too
+    assert sorted(solved) == sorted(x.tobytes() for x in ds.states.reshape(N * K, -1))
+    for x, J in zip(ds.states.reshape(N * K, -1), ds.jacobians.reshape(N * K, qp.d_u, -1)):
+        ref = barrier_jacobian(bp, solve_barrier(bp, x))[: qp.d_u]
+        assert np.abs(J - ref).max() <= 1e-6 * (1.0 + np.abs(ref).max())
 
 
 def test_imitation_error_matches_one_start_at_a_time(cases):
@@ -217,7 +241,7 @@ def test_imitation_error_of_the_barrier_expert(cases):
     sys_, qp, net = case["sys"], case["qp"], case["net"]
     bp = make_barrier_problem(qp, 0.05)
     starts = np.random.default_rng(2).uniform(-8.0, 8.0, (10, 2))
-    ref = imitation_error_oracle(sys_, WarmChainExpert(bp), Rows.one_row_stacks(net), starts, K)
+    ref = imitation_error_oracle(sys_, OneStateExpert(bp), Rows.one_row_stacks(net), starts, K)
     out = imitation_error(sys_, BarrierExpert(bp), net, starts, K)
     inf = np.isinf(ref["max_traj_error"])
     assert inf.any() and not inf.all()

@@ -8,7 +8,7 @@ import pytest
 import smoothmpc
 import smoothmpc.qp
 from smoothmpc.barrier import make_barrier_problem, solve_barrier
-from smoothmpc.core import double_integrator_problem, feasible_radii
+from smoothmpc.core import feasible_radii
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import feasible_polygon
 from smoothmpc.explicit import discover_pieces, solve_qp, state_grid
@@ -29,32 +29,14 @@ def lp_calls(monkeypatch):
 
 
 def test_barrier_solve_lp_counts(di_qp, lp_calls):
-    # when none of the warm start, its shifted tail and u = 0 is strictly
-    # feasible, a Newton phase I finds a start, with no LP
+    # when u = 0 is not strictly feasible, a Newton phase I finds a start,
+    # with no LP
     bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=np.sqrt(10.0))
     solve_barrier(bp, np.zeros(2))
     assert len(lp_calls) == 0
     x0 = np.array([1.0, -2.0])
     assert di_qp.bounds_rhs(x0).min() < 0  # u = 0 is infeasible here
-    cold = solve_barrier(bp, x0)
-    assert len(lp_calls) == 0
-    lp_calls.clear()
-    solve_barrier(bp, x0 + 1e-3, warm=cold.u_eta)
-    assert len(lp_calls) == 0
-
-
-def test_closed_loop_step_starts_from_shifted_plan(di_qp, lp_calls):
-    # after one closed-loop step neither the previous plan nor u = 0 is
-    # feasible at the new state, but the plan's shifted tail is
-    sys_ = double_integrator_problem()[0]
-    bp = make_barrier_problem(di_qp, eta=0.1, outer_radius=np.sqrt(10.0))
-    x0 = np.array([5.5, -1.2])
-    plan = solve_barrier(bp, x0).u_eta
-    x1 = sys_.step(x0, plan[: di_qp.d_u])
-    b1 = di_qp.bounds_rhs(x1)
-    assert b1.min() < 0 and (b1 - di_qp.G @ plan).min() < 0
-    lp_calls.clear()
-    solve_barrier(bp, x1, warm=plan)
+    solve_barrier(bp, x0)
     assert len(lp_calls) == 0
 
 
