@@ -260,11 +260,10 @@ def quad_opt_bounds(G: np.ndarray, b: np.ndarray, Hmat: np.ndarray, v: np.ndarra
 
 @dataclass(frozen=True)
 class SelfConcordantBarrier1D:
-    """A one-dimensional barrier on (0, r) with value/derivative evaluators."""
+    """A one-dimensional barrier on (0, r) with its value evaluator."""
 
     r: float
     value: callable
-    deriv: callable
     nu: float
 
 
@@ -273,7 +272,6 @@ def log_barrier_1d(r: float) -> SelfConcordantBarrier1D:
     return SelfConcordantBarrier1D(
         r=r,
         value=lambda x: -math.log(x) - math.log(r - x),
-        deriv=lambda x: -1.0 / x + 1.0 / (r - x),
         nu=2.0,
     )
 

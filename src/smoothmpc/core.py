@@ -336,8 +336,6 @@ class FeasibleRadii:
     R: float
     center: np.ndarray
     R_center: float
-    lo: np.ndarray
-    hi: np.ndarray
 
 
 def polytope_radii(G: np.ndarray, b: np.ndarray) -> FeasibleRadii:
@@ -353,7 +351,7 @@ def polytope_radii(G: np.ndarray, b: np.ndarray) -> FeasibleRadii:
     lo, hi = bounding_box(G, b)
     R = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
     R_center = float(np.linalg.norm(np.maximum(np.abs(lo - center), np.abs(hi - center))))
-    return FeasibleRadii(r=r, R=R, center=center, R_center=R_center, lo=lo, hi=hi)
+    return FeasibleRadii(r=r, R=R, center=center, R_center=R_center)
 
 
 def feasible_radii(qp: CondensedQP, x0: np.ndarray) -> FeasibleRadii:

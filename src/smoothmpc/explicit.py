@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import CondensedQP
 from .errors import DegenerateActiveSetError, InfeasibleError
-from .matrixops import is_singular_submatrix, padded_inverse, padded_pinv
+from .matrixops import SingularSubmatrixError, is_singular_submatrix, padded_inverse, padded_pinv
 from .qp import raw_solve_qp
 
 __all__ = [
@@ -117,7 +117,6 @@ class QPSolution:
     u_star: np.ndarray
     sigma: ActiveSet
     multipliers: np.ndarray
-    objective: float
 
 
 def solve_qp(qp: CondensedQP, x0: np.ndarray) -> QPSolution:
@@ -130,7 +129,7 @@ def solve_qp(qp: CondensedQP, x0: np.ndarray) -> QPSolution:
     b = qp.bounds_rhs(x0)
     sol = raw_solve_qp(qp.H, -(qp.F.T @ x0), qp.G, b)
     return QPSolution(u_star=sol.z, sigma=ActiveSet(sol.working_set),
-                      multipliers=sol.multipliers, objective=sol.objective)
+                      multipliers=sol.multipliers)
 
 
 def gain_for_sigma(qp: CondensedQP, sigma: ActiveSet | np.ndarray,
@@ -151,9 +150,10 @@ def gain_for_sigma(qp: CondensedQP, sigma: ActiveSet | np.ndarray,
     if pseudo:
         Minv = padded_pinv(qp.gram, sigma.sigma)
     else:
-        if is_singular_submatrix(qp.gram, sigma.sigma):
-            raise DegenerateActiveSetError("singular principal submatrix for sigma")
-        Minv = padded_inverse(qp.gram, sigma.sigma)
+        try:
+            Minv = padded_inverse(qp.gram, sigma.sigma)
+        except SingularSubmatrixError:
+            raise DegenerateActiveSetError("singular principal submatrix for sigma") from None
     GHF = qp.G @ qp.Hinv_FT
     K = np.linalg.solve(qp.H, qp.F.T - qp.G.T @ (Minv @ (GHF - qp.P)))
     k = np.linalg.solve(qp.H, qp.G.T @ (Minv @ qp.w))
@@ -201,9 +201,23 @@ def _region_data(qp: CondensedQP, piece: AffinePiece) -> _PieceRegion:
                                           np.full(dual_v.size, DUAL_TOL)]))
 
 
+def _products(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """X @ A.T, always by gemm: the one product rule of the piece table.
+
+    numpy sends a product with a one-row operand through gemv or a dot
+    product, which sum in another order than gemm; such an operand gets a
+    second row here. gemm gives a row the same bits whatever the number of
+    rows (for inner dimensions as small as d_x), so a state's decisions
+    and control are the same alone and inside any batch.
+    """
+    n, m = X.shape[0], A.shape[0]
+    Y = (X[[0, 0]] if n == 1 else X) @ (A[[0, 0]] if m == 1 else A).T
+    return Y[:n, :m] if 1 in (n, m) else Y
+
+
 def _region_mask(region: _PieceRegion, X: np.ndarray) -> np.ndarray:
     # in place: a large batch holds one (N, rows) array, not two
-    Y = X @ region.A.T
+    Y = _products(X, region.A)
     Y -= region.v
     return np.all(Y <= region.t, axis=1)
 
@@ -319,13 +333,9 @@ def discover_pieces(qp: CondensedQP, grid: np.ndarray, method: str = "assign") -
             # the unassigned points, in grid order, of the buckets where the test can pass
             todo = by_cell[np.repeat(buckets.candidates(region), per_cell)]
             todo = np.sort(todo[status[todo] == 0])
-            if todo.size:
-                # a lone point is tested as two rows: numpy sends a one-row
-                # product through gemv, which can round otherwise than gemm
-                mask = _region_mask(region, grid[np.resize(todo, max(2, todo.size))])
-                hit = todo[mask[: todo.size]]
-                status[hit] = 1
-                sigma_pieces[key][1] += hit.size
+            hit = todo[_region_mask(region, grid[todo])]
+            status[hit] = 1
+            sigma_pieces[key][1] += hit.size
         if status[cursor] == 0:
             # boundary point whose own region test missed by tolerance
             status[cursor] = 1
@@ -441,26 +451,6 @@ class _BucketGrid:
         return np.any(high > region.t - self._err(region), axis=0)
 
 
-def _reduced_test(region: _PieceRegion, keep: np.ndarray) -> _PieceRegion:
-    """``region`` cut down to the rows in ``keep``.
-
-    A block cut to one row from more gets a dropped row back: BLAS rounds
-    a one-row product through another kernel, whose last bits can differ
-    from the full block's. A dropped row always passes, so this is harmless.
-    """
-    keep = keep.copy()
-    if keep.sum() == 1 and keep.size > 1:
-        keep[np.argmin(keep)] = True
-    return _PieceRegion(piece=region.piece, A=region.A[keep], v=region.v[keep], t=region.t[keep])
-
-
-def _finite_state(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"state {x} is not finite")
-    return x
-
-
 class PieceTableEvaluator:
     """Fast batched evaluation of the explicit law through a piece table.
 
@@ -474,7 +464,8 @@ class PieceTableEvaluator:
     against every region, on all of its rows.
     Unmatched states (outside every discovered region, or infeasible) get
     NaN, or on request the per-point QP solution; states that are not
-    finite get NaN without a test.
+    finite get NaN without a test. Every product goes through
+    ``_products``, so a state's answer does not depend on its batch.
     """
 
     def __init__(self, qp: CondensedQP, collection: PieceCollection):
@@ -488,8 +479,12 @@ class PieceTableEvaluator:
         for r, region in enumerate(self._regions):
             self._candidates[r] = self._buckets.candidates(region)
             # in-box states take the reduced tests, states outside the box the full ones
-            self._reduced.append(_reduced_test(
-                region, self._buckets.kept_rows(region, self._candidates[r])))
+            keep = self._buckets.kept_rows(region, self._candidates[r])
+            self._reduced.append(_PieceRegion(piece=region.piece, A=region.A[keep],
+                                              v=region.v[keep], t=region.t[keep]))
+        # the first-input gains, one (d_u, d_x) block per region
+        self._gains = np.array([region.piece.K[: qp.d_u] for region in self._regions]
+                               ).reshape(-1, qp.d_u, qp.d_x)
 
     def _locate(self, X: np.ndarray) -> np.ndarray:
         """Occupancy-order index of the first region holding each finite row; -1 for none."""
@@ -526,8 +521,7 @@ class PieceTableEvaluator:
             if hit.size == 0 or which[hit[0]] < 0:
                 continue
             piece = self._regions[which[hit[0]]].piece
-            U = X[hit] @ piece.K.T + piece.k
-            out[hit] = U[:, : self.qp.d_u]
+            out[hit] = _products(X[hit], piece.K[: self.qp.d_u]) + piece.k[: self.qp.d_u]
         if fallback == "qp":
             for i in np.flatnonzero((which < 0) & np.all(np.isfinite(X), axis=1)):
                 try:
@@ -535,19 +529,6 @@ class PieceTableEvaluator:
                 except InfeasibleError:
                     pass
         return out
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The exact law at x: the table's piece, else the per-point QP."""
-        x = _finite_state(x)
-        u = self.eval_batch(x[None, :], fallback="qp")[0]
-        if np.any(np.isnan(u)):
-            raise InfeasibleError("state outside the feasible set")
-        return u
-
-    def piece_at(self, x: np.ndarray) -> AffinePiece | None:
-        """The first discovered piece whose region contains x, if any."""
-        r = self._locate(np.asarray(x, dtype=float)[None, :])[0]
-        return self._regions[r].piece if r >= 0 else None
 
     def jacobian_batch(self, X: np.ndarray) -> np.ndarray:
         """First-input gain rows of the piece active at each row of X, shape (N, d_u, d_x).
@@ -560,8 +541,8 @@ class PieceTableEvaluator:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full((X.shape[0], self.qp.d_u, self.qp.d_x), np.nan)
         which = self._locate(X)
-        for r in np.unique(which[which >= 0]):
-            out[which == r] = self._regions[r].piece.K[: self.qp.d_u]
+        hit = which >= 0
+        out[hit] = self._gains[which[hit]]
         for i in np.flatnonzero((which < 0) & np.all(np.isfinite(X), axis=1)):
             try:
                 sol = solve_qp(self.qp, X[i])
@@ -569,13 +550,6 @@ class PieceTableEvaluator:
                 continue
             out[i] = gain_for_sigma(self.qp, sol.sigma).K[: self.qp.d_u]
         return out
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """``jacobian_batch`` at the finite state x; raises InfeasibleError outside the feasible set."""
-        J = self.jacobian_batch(_finite_state(x)[None, :])[0]
-        if np.any(np.isnan(J)):
-            raise InfeasibleError("state outside the feasible set")
-        return J
 
 
 def enumerate_nonsingular_sigmas(qp: CondensedQP):

@@ -48,7 +48,6 @@ class RawQPSolution:
     z: np.ndarray
     working_set: np.ndarray  # bool, length m; linearly independent active rows
     multipliers: np.ndarray  # length m, zero off the working set
-    objective: float
     iterations: int
 
 
@@ -162,9 +161,8 @@ def raw_solve_qp(H: np.ndarray, q: np.ndarray, G: np.ndarray, b: np.ndarray) -> 
         if p < 0:
             viol = (V.T @ w - b) / scale_b
             if viol.max(initial=-np.inf) <= FEAS_TOL:
-                z = np.linalg.solve(L.T, w)
-                return RawQPSolution(z=z, working_set=work, multipliers=np.maximum(lam, 0.0),
-                                     objective=float(0.5 * z @ H @ z + q @ z), iterations=it)
+                return RawQPSolution(z=np.linalg.solve(L.T, w), working_set=work,
+                                     multipliers=np.maximum(lam, 0.0), iterations=it)
             p = int(np.argmax(viol))
         A = np.flatnonzero(work)
         # split v_p into V_A r and the step d orthogonal to the working rows;

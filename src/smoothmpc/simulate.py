@@ -106,8 +106,11 @@ def _lockstep(sys: LinearSystem, policy, X0: np.ndarray, K: int, jacobian_fn=Non
     """Simulate x_{t+1} = A x_t + B u_t from every row of X0 for K steps,
     with u_t one ``policy.eval_batch`` call over the runs still going (and
     one ``jacobian_fn`` call when given). A run stops at the first state
-    where ``_evaluate`` finds no input; a run's states do not depend on
-    the other rows of the stack."""
+    where ``_evaluate`` finds no input. A run is the one-start run bit for
+    bit when the policy is backed by the piece table (the table, its
+    smoothing), whose answers do not depend on the stack; the barrier
+    expert solves each stack in one Newton, so its runs agree with
+    one-start runs within the Newton tolerance."""
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     B = X0.shape[0]
     fns, widths = [policy.eval_batch], [sys.d_u]

@@ -80,9 +80,8 @@ def primal_active_set_qp(
             if k == 0 or lam_work.min() >= -tol:
                 mult = np.zeros(m)
                 mult[idx] = np.maximum(lam_work, 0.0)
-                obj = float(0.5 * z @ H @ z + q @ z)
                 return RawQPSolution(z=z, working_set=work.copy(), multipliers=mult,
-                                     objective=obj, iterations=it)
+                                     iterations=it)
             drop = idx[np.flatnonzero(lam_work < -tol)[0]]
             work[drop] = False
             continue

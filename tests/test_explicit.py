@@ -254,7 +254,7 @@ def test_piecewise_affine_consistency(di_qp):
             sol = solve_qp(di_qp, x)
         except InfeasibleError:
             continue
-        assert np.abs(table(x) - sol.u_star[:1]).max() <= 1e-7
+        assert np.abs(table.eval_batch(x[None], fallback="qp")[0] - sol.u_star[:1]).max() <= 1e-7
         checked += 1
 
 
@@ -298,8 +298,10 @@ def test_enumerate_nonsingular_small():
 
 def _scan_oracle(table, X, fallback="qp"):
     """The sequential scan the bucket grid replaced: every state against every
-    region in occupancy order, then the QP fallback or NaN. Callers pass
-    NaN and +-inf states on purpose; their region tests are silenced."""
+    region in occupancy order, then the QP fallback or NaN. The control is
+    the table's own product (``_products``), so a group of one hit rounds
+    as the table rounds it. Callers pass NaN and +-inf states on purpose;
+    their region tests are silenced."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.full((X.shape[0], table.qp.d_u), np.nan)
     todo = np.arange(X.shape[0])
@@ -310,8 +312,9 @@ def _scan_oracle(table, X, fallback="qp"):
             mask = _region_mask(region, X[todo])
             hit = todo[mask]
             if hit.size:
-                U = X[hit] @ region.piece.K.T + region.piece.k
-                out[hit] = U[:, : table.qp.d_u]
+                d_u = table.qp.d_u
+                out[hit] = (smoothmpc.explicit._products(X[hit], region.piece.K[:d_u])
+                            + region.piece.k[:d_u])
                 todo = todo[~mask]
         if todo.size and fallback == "qp":
             for i in todo:
@@ -322,13 +325,13 @@ def _scan_oracle(table, X, fallback="qp"):
     return out
 
 
-def _scan_piece(table, x):
+def _scan_index(table, x):
     X = np.asarray(x, dtype=float)[None, :]
     with np.errstate(invalid="ignore"):  # non-finite probes, as in _scan_oracle
-        for region in table._regions:
+        for r, region in enumerate(table._regions):
             if _region_mask(region, X)[0]:
-                return region.piece
-    return None
+                return r
+    return -1
 
 
 def probe_states(rng, table, grid, count):
@@ -359,7 +362,8 @@ def probe_states(rng, table, grid, count):
 
 
 def assert_matches_scan(table, X, qp_rows, piece_rows):
-    """Bucketed eval_batch (both fallbacks) and piece_at equal the scan bit for bit."""
+    """Bucketed eval_batch (both fallbacks) and one-state point location
+    equal the scan bit for bit."""
     assert np.array_equal(table.eval_batch(X, fallback="nan"),
                           _scan_oracle(table, X, "nan"), equal_nan=True)
     Xq = X[qp_rows]
@@ -367,7 +371,7 @@ def assert_matches_scan(table, X, qp_rows, piece_rows):
     assert np.array_equal(table.eval_batch(Xq, fallback="qp"),
                           _scan_oracle(table, Xq, "qp"), equal_nan=True)
     for x in X[piece_rows]:
-        assert table.piece_at(x) is _scan_piece(table, x)
+        assert table._locate(x[None, :])[0] == _scan_index(table, x)
 
 
 @pytest.fixture(scope="module")
@@ -406,11 +410,9 @@ def test_non_finite_states_are_never_tested_or_solved(di_table, monkeypatch):
         for fallback in ("qp", "nan"):
             U = table.eval_batch(X, fallback=fallback)
             assert np.isnan(U[:4]).all() and np.isfinite(U[4]).all()
+        J = table.jacobian_batch(X)
+        assert np.isnan(J[:4]).all() and np.isfinite(J[4]).all()
     assert all(np.isfinite(Y).all() for Y in tested)
-    for x in bad:
-        for call in (table, table.jacobian):
-            with pytest.raises(ValueError, match="not finite"):
-                call(x)
 
 
 def test_lookup_default_is_nan_and_call_solves_the_qp(di_qp, di_table):
@@ -423,10 +425,22 @@ def test_lookup_default_is_nan_and_call_solves_the_qp(di_qp, di_table):
     lone = PieceTableEvaluator(di_qp, discover_pieces(di_qp, np.zeros((1, 2))))
     x = np.array([0.0, 3.0])
     sol = solve_qp(di_qp, x)
-    assert sol.sigma.popcount > 0 and lone.piece_at(x) is None
+    assert sol.sigma.popcount > 0 and lone._locate(x[None, :])[0] == -1
     assert np.isnan(lone.eval_batch(x[None, :])).all()
-    assert np.array_equal(lone(x), sol.u_star[:1])
-    assert np.array_equal(lone.jacobian(x), gain_for_sigma(di_qp, sol.sigma).K[:1])
+    assert np.array_equal(lone.eval_batch(x[None, :], fallback="qp")[0], sol.u_star[:1])
+    assert np.array_equal(lone.jacobian_batch(x[None, :])[0],
+                          gain_for_sigma(di_qp, sol.sigma).K[:1])
+
+
+def test_a_table_without_regions_answers_by_the_qp(di_qp):
+    # an infeasible grid discovers no piece
+    empty = PieceTableEvaluator(di_qp, discover_pieces(di_qp, np.array([[50.0, 50.0]])))
+    assert empty.collection.n_pieces == 0
+    X = np.array([[0.0, 3.0], [50.0, 50.0], [np.nan, 0.0]])
+    J = empty.jacobian_batch(X)
+    assert J.shape == (3, 1, 2) and np.isnan(J[1:]).all()
+    assert np.array_equal(J[0], gain_for_sigma(di_qp, solve_qp(di_qp, X[0]).sigma).K[:1])
+    assert np.array_equal(empty.eval_batch(X, fallback="qp")[0], solve_qp(di_qp, X[0]).u_star[:1])
 
 
 @pytest.mark.parametrize("shift", [0.0, 2e-10])
@@ -543,11 +557,7 @@ def test_dropped_rows_pass_in_every_candidate_bucket_random_systems(d_x, seed):
 def test_reduced_rows_on_the_default_table(di_qp):
     table = PieceTableEvaluator(di_qp, discover_pieces(
         di_qp, state_grid([-10, -10], [10, 10], 201)))
-    kept = []
-    for region, reduced in zip(table._regions, table._reduced):
-        # a one-row product rounds differently from the full block's
-        assert reduced.A.shape[0] != 1 or region.A.shape[0] == 1
-        kept.append(reduced.v.size)
+    kept = [reduced.v.size for reduced in table._reduced]
     assert np.mean(kept) <= 12
 
 
@@ -667,3 +677,78 @@ def test_one_block_regions_match_two_blocks_random_systems(d_x, seed):
     grid = state_grid([-2.5] * d_x, [2.5] * d_x, 21 if d_x == 2 else 9)
     table = PieceTableEvaluator(qp, discover_pieces(qp, grid))
     assert assert_one_block_matches_two_blocks(table, grid, rng)[0] > 0
+
+
+# --- one product rule: a state's answer does not depend on its batch ----------
+
+def test_gemm_rows_do_not_depend_on_the_batch():
+    """The assumption under the piece table's product rule (``_products``):
+    gemm gives a row of X @ A.T the same bits whatever the number of rows,
+    for inner dimensions d_x <= 3 and any number of columns from 2 up.
+    One-row operands reach gemm through ``_products``."""
+    rng = np.random.default_rng(61)
+    for d in (1, 2, 3):
+        X = rng.standard_normal((65536, d)) * 10.0 ** rng.uniform(-3, 3, size=(65536, d))
+        for cols in range(1, 71):
+            A = rng.standard_normal((cols, d)) * 10.0 ** rng.uniform(-3, 3, size=(cols, d))
+            full = smoothmpc.explicit._products(X, A)
+            sizes = (1, 2, 3, 17, 1000, 63000) if cols > 1 else (1, 2, 1000)
+            for M in sizes:
+                part = (X[:M] @ A.T if M > 1 and cols > 1
+                        else smoothmpc.explicit._products(X[:M], A))
+                assert np.array_equal(part, full[:M]), (
+                    f"the piece table's product rule fails: the first {M} rows of a "
+                    f"({X.shape[0]}, {d}) @ ({d}, {cols}) gemm round otherwise on their own")
+
+
+def _facet_lattices(table, grid, rng, per_block):
+    """Up to ``per_block`` of the ``_facet_states`` lattice of each one-row
+    multiplier block of the table."""
+    tol_scale = smoothmpc.explicit.ACTIVE_TOL * (1.0 + np.abs(table.qp.w))
+    out = [np.zeros((0, grid.shape[1]))]
+    for region in table._regions:
+        blocks = _two_block_region(table.qp, region.piece)
+        if blocks[2].shape[0] == 1:
+            F = _facet_states(blocks, tol_scale, grid.min(axis=0), grid.max(axis=0))
+            out.append(F[rng.choice(F.shape[0], min(per_block, F.shape[0]), replace=False)])
+    return np.vstack(out)
+
+
+def assert_rows_do_not_depend_on_the_batch(table, X, qp_rows, rng):
+    """Row i of every answer of the table, for the batch X, equals the
+    answer for X[i] alone and for X[i] inside a two-row batch, bit for bit."""
+    answers = (("eval_batch", table.eval_batch, X),
+               ("jacobian_batch", table.jacobian_batch, X),
+               ("_locate", table._locate, X),
+               ("eval_batch qp", lambda Y: table.eval_batch(Y, fallback="qp"), X[qp_rows]))
+    for name, f, Y in answers:
+        rows = f(Y)
+        partner = rng.permutation(Y.shape[0])
+        for i, j in enumerate(partner):
+            assert np.array_equal(f(Y[i:i + 1])[0], rows[i], equal_nan=True), (name, Y[i])
+            assert np.array_equal(f(Y[[i, j]])[0], rows[i], equal_nan=True), (name, Y[i])
+
+
+def test_table_answers_do_not_depend_on_the_batch_double_integrator(di_qp):
+    grid = state_grid([-10, -10], [10, 10], 201)
+    table = PieceTableEvaluator(di_qp, discover_pieces(di_qp, grid))
+    rng = np.random.default_rng(67)
+    F = _facet_lattices(table, grid, rng, 169)
+    assert F.shape[0] == 4 * 169
+    X = np.vstack([probe_states(rng, table, grid, 250), F])
+    assert_rows_do_not_depend_on_the_batch(table, X, rng.choice(X.shape[0], 100, replace=False),
+                                           rng)
+
+
+@pytest.mark.parametrize("d_x", [2, 3])
+@pytest.mark.parametrize("seed", range(2))
+def test_table_answers_do_not_depend_on_the_batch_random_systems(d_x, seed):
+    rng = np.random.default_rng(seed)
+    qp = random_system(rng)[1]
+    while qp.d_x != d_x:
+        qp = random_system(rng)[1]
+    grid = state_grid([-2.5] * d_x, [2.5] * d_x, 21 if d_x == 2 else 9)
+    table = PieceTableEvaluator(qp, discover_pieces(qp, grid))
+    X = np.vstack([probe_states(rng, table, grid, 100), _facet_lattices(table, grid, rng, 100)])
+    assert_rows_do_not_depend_on_the_batch(table, X, rng.choice(X.shape[0], 60, replace=False),
+                                           rng)

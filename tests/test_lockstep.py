@@ -5,14 +5,15 @@ A policy evaluated as one-row stacks (``Rows.one_row_stacks``) gives each
 row the bits it has alone, so there the lockstep engine must reproduce the
 oracles bit for bit: the proposals drawn, the starts accepted and their
 order, every state, input and Jacobian, the inf rows and each failure's
-text. The stacked policies run through BLAS products whose kernel, and so
-summation order, depends on the stack: numpy multiplies a one-row stack
-(the network) or a region hit by one sample (the piece table, and the
-smoothed policy through it) through gemv, and more rows through gemm. So
-stacked they agree with their one-row values to rounding, with the same
-starts accepted and the same failures. The barrier expert solves each
-stack in one Newton, and the oracle one state at a time: the two agree to
-the Newton tolerance.
+text. The piece table sends every product through gemm (its one product
+rule), so a state's answer does not depend on its stack: the table, the
+smoothed policy through it and the fragile table reproduce the oracles
+bit for bit stacked too. The network's products have its hidden width as
+inner dimension, whose gemm rounding does depend on the stack, so stacked
+it agrees with its one-row values to rounding, with the same starts
+accepted and the same failures. The barrier expert solves each stack in
+one Newton, and the oracle one state at a time: the two agree to the
+Newton tolerance.
 """
 
 import numpy as np
@@ -115,6 +116,9 @@ def test_lockstep_rows_are_one_start_rollouts(cases):
             run = _lockstep(sys_, stacked, X0, K)
             for i, ref in enumerate(oracle):
                 got = run.trajectory(i)
+                if label != "net":
+                    assert _same_trajectory(got, ref), (case["name"], label, i)
+                    continue
                 assert (got.completed, got.failure) == (ref.completed, ref.failure)
                 assert np.allclose(got.states, ref.states, rtol=1e-12, atol=1e-12)
     # each kind of failure ran: a raise inside a stack, a NaN row, a failed smoothing
@@ -143,7 +147,7 @@ def test_sample_dataset_keeps_the_proposals_a_one_at_a_time_loop_keeps(cases):
                 ds = sample_dataset(sys_, pol, draw, N, K, seed=5)
                 assert np.array_equal(np.array(drawn), np.array(drawn_ref)), (case["name"], label)
                 assert np.array_equal(ds.states[:, 0], ref.states[:, 0])
-                if pol is rows:
+                if pol is rows or label != "net":
                     assert np.array_equal(ds.states, ref.states), (case["name"], label)
                     assert np.array_equal(ds.inputs, ref.inputs), (case["name"], label)
                 else:
@@ -166,8 +170,8 @@ def test_smoothed_dataset_jacobians_are_the_one_state_stencils(cases):
         assert np.array_equal(ds.jacobians, ref.jacobians), case["name"]
         ds = sample_dataset(sys_, smoothed, case["sampler"], N, K, seed=2,
                             jacobian_fn=smoothed.jacobian_batch)
-        assert np.array_equal(ds.states[:, 0], ref.states[:, 0])
-        assert np.allclose(ds.jacobians, ref.jacobians, rtol=1e-9, atol=1e-9), case["name"]
+        assert np.array_equal(ds.states, ref.states) and np.array_equal(ds.inputs, ref.inputs)
+        assert np.array_equal(ds.jacobians, ref.jacobians), case["name"]
 
 
 def test_barrier_dataset_matches_the_warm_chain_within_the_newton_tolerance(cases):
@@ -228,6 +232,12 @@ def test_imitation_error_matches_one_start_at_a_time(cases):
                 assert np.array_equal(out["max_traj_error"], ref["max_traj_error"])
                 assert out["sup_policy_error"] == ref["sup_policy_error"]
             ref = imitation_error_oracle(sys_, rows, learners[0], starts, K)
+            if label != "net":
+                # a table-backed expert stacked, against the net's one-row stacks
+                out = imitation_error(sys_, stacked, learners[0], starts, K)
+                assert np.array_equal(out["max_traj_error"], ref["max_traj_error"])
+                assert out["sup_policy_error"] == ref["sup_policy_error"], (case["name"], label)
+                continue
             out = imitation_error(sys_, stacked, net, starts, K)
             inf = np.isinf(ref["max_traj_error"])
             assert np.array_equal(np.isinf(out["max_traj_error"]), inf), (case["name"], label)
