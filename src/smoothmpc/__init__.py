@@ -14,7 +14,6 @@ from .barrier import (
     barrier_jacobian_batch,
     convex_combination,
     make_barrier_problem,
-    pi_barrier,
     recentering_vector,
     solve_barrier,
     solve_barrier_batch,

@@ -51,7 +51,6 @@ __all__ = [
     "ConvexCombination",
     "barrier_hessian",
     "tensor_spectral_norm",
-    "pi_barrier",
 ]
 
 GRAD_TOL_FACTOR = 1e-10
@@ -253,66 +252,56 @@ def _newton(u, phi, H, f, eta, G, GT, b, tol, max_iter, record=None):
 
     from strictly feasible rows u with residuals phi = b - u G^T:
     Armijo-damped far out, pure steps near the optimum (``_line_search``).
-    A row leaves the loop when its gradient norm reaches tol_i, or with the
-    best iterate it saw when its squared decrement is not positive, its
-    line search fails or max_iter iterations pass. Returns (u, gradient
-    norms, iterations); ``record``, a list, receives each iteration's
-    (rows, squared decrements). GT is G^T, contiguous. np.count_nonzero
-    tests the masks: it is the cheapest test.
+    A row leaves the loop when its gradient norm reaches tol_i, when its
+    squared decrement is not positive, when its line search fails, or
+    after max_iter iterations; each gradient evaluation, including the
+    one after the last step, updates the row's best iterate in place.
+    Returns (u, gradient norms, iterations): each row's first iterate of
+    least gradient norm, that norm, and the iterations the row ran, a
+    failed line search counting as one. ``record``, a list, receives each
+    iteration's (rows, squared decrements). GT is G^T, contiguous.
+    np.count_nonzero tests the masks: it is the cheapest test.
     """
     k = u.shape[0]
-    out_u = np.empty_like(u)
-    out_g = np.empty(k)
+    best_u = u.copy()
+    best_g = np.full(k, np.inf)
     iters = np.full(k, max_iter)
     live = np.arange(k)
-    seen = []  # (rows, u, gradient norms) of every iteration
-
-    def leave(stop, count, best):
-        i = live[stop]
-        iters[i] = count
-        if not best:
-            out_u[i], out_g[i] = u[stop], gnorm[stop]
-            return ~stop
-        # the first iterate of least gradient norm, over every iteration of row i
-        out_g[i] = np.inf
-        for rows, u_seen, g_seen in seen:
-            pos = np.minimum(np.searchsorted(rows, i), rows.size - 1)
-            hit = (rows[pos] == i) & (g_seen[pos] < out_g[i])
-            out_u[i[hit]] = u_seen[pos[hit]]
-            out_g[i[hit]] = g_seen[pos[hit]]
-        return ~stop
-
-    for it in range(1, max_iter + 1):
+    for it in range(1, max_iter + 2):
         r = 1.0 / phi
         g = u @ H + eta * (r @ G) - f
         gnorm = np.sqrt(np.vecdot(g, g))
-        seen.append((live, u, gnorm))
+        better = gnorm < best_g[live]
+        best_u[live[better]] = u[better]
+        best_g[live[better]] = gnorm[better]
+        if it > max_iter:
+            break
         stop = gnorm <= tol
         if np.count_nonzero(stop):
-            keep = leave(stop, it - 1, False)
+            iters[live[stop]] = it - 1
+            keep = ~stop
             live, u, phi, f, b, tol, r, g = (a[keep] for a in (live, u, phi, f, b, tol, r, g))
             if not live.size:
-                return out_u, out_g, iters
+                break
         p = -_solve_stack(_newton_matrices(H, eta, G, GT, r), g[:, :, None])[:, :, 0]
         dec2 = -np.vecdot(g, p)
         if record is not None:
             record.append((live, dec2))
         stop = dec2 <= 0.0
         if np.count_nonzero(stop):
-            keep = leave(stop, it - 1, True)
+            iters[live[stop]] = it - 1
+            keep = ~stop
             live, u, phi, f, b, tol, p, dec2 = (a[keep] for a in (live, u, phi, f, b, tol, p, dec2))
             if not live.size:
-                return out_u, out_g, iters
+                break
         u, phi, stop = _line_search(u, p, phi, dec2, H, f, eta, GT, b)
         if stop is not None:
-            keep = leave(stop, it, True)
+            iters[live[stop]] = it
+            keep = ~stop
             live, u, phi, f, b, tol = (a[keep] for a in (live, u, phi, f, b, tol))
             if not live.size:
-                return out_u, out_g, iters
-    g = u @ H + eta * ((1.0 / phi) @ G) - f
-    seen.append((live, u, np.sqrt(np.vecdot(g, g))))
-    leave(np.ones(live.size, dtype=bool), max_iter, True)
-    return out_u, out_g, iters
+                break
+    return best_u, best_g, iters
 
 
 def _phase_one(G: np.ndarray, GT: np.ndarray, b: np.ndarray) -> tuple:
@@ -661,9 +650,3 @@ def tensor_spectral_norm(T: np.ndarray) -> float:
             y = y_new / ny
         best = max(best, float(np.linalg.norm(T @ y, 2)))
     return best
-
-
-def pi_barrier(bp: BarrierProblem, x: np.ndarray) -> np.ndarray:
-    """Barrier control law: first input block of the barrier minimizer."""
-    sol = solve_barrier(bp, x)
-    return sol.u_eta[: bp.qp.d_u]

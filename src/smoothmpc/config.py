@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from .core import constraints_from_config
+from .core import LinearSystem, build_condensed, constraints_from_config, load_problem
 from .mlp import TrainConfig
 
 __all__ = ["default_config", "load_config", "validate_config", "config_hash"]
@@ -47,6 +47,15 @@ def _require(cond: bool, msg: str):
         raise ValueError(f"invalid configuration: {msg}")
 
 
+@contextmanager
+def _invalid(what: str):
+    """Report a TypeError or ValueError raised inside as an invalid ``what``."""
+    try:
+        yield
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"invalid configuration: {what}: {err}") from None
+
+
 def validate_config(cfg: dict) -> dict:
     """Schema check; returns the config merged over the defaults."""
     merged = default_config()
@@ -57,19 +66,16 @@ def validate_config(cfg: dict) -> dict:
             merged[key] = val
     _require("system" in merged and "A" in merged["system"] and "B" in merged["system"],
              "system.A and system.B are required")
-    A = np.asarray(merged["system"]["A"], dtype=float)
-    B = np.asarray(merged["system"]["B"], dtype=float)
-    _require(A.ndim == 2 and A.shape[0] == A.shape[1], "system.A must be square")
-    _require(B.ndim == 2 and B.shape[0] == A.shape[0], "system.B row count must match A")
-    _require(int(merged["cost"]["horizon"]) >= 1, "cost.horizon must be >= 1")
+    with _invalid("system"):
+        sys_ = LinearSystem(A=merged["system"]["A"], B=merged["system"]["B"])
     cons = merged["constraints"]
     _require(isinstance(cons, dict), "constraints must be a mapping")
     extra = sorted(set(cons) - {"state_box", "input_box"})
     _require(not extra, f"constraints takes only state_box and input_box, got {extra}")
-    try:
-        constraints_from_config(cons, A.shape[0], B.shape[1])
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"invalid configuration: constraints: {err}") from None
+    with _invalid("constraints"):
+        constraints_from_config(cons, sys_.d_x, sys_.d_u)
+    with _invalid("cost"):
+        build_condensed(*load_problem(merged))
     for name in ("eta_grid", "sigma_grid"):
         grid = merged["smoothness"][name]
         _require(len(grid) > 0 and all(g > 0 for g in grid),
@@ -78,10 +84,8 @@ def validate_config(cfg: dict) -> dict:
     _require(len(merged["imitation"]["seeds"]) > 0, "imitation.seeds must be nonempty")
     _require(int(merged["imitation"]["N"]) >= 0 and int(merged["imitation"]["K"]) >= 1,
              "imitation.N/K out of range")
-    try:
+    with _invalid("imitation.train"):
         TrainConfig(**merged["imitation"]["train"])
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"invalid configuration: imitation.train: {err}") from None
     return merged
 
 

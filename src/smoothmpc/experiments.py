@@ -178,10 +178,6 @@ class BarrierExpert:
             self._stack = (key, solve_barrier_batch(self.bp, X))
         return self._stack[1]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """First input at one state; raises InfeasibleError where it has none."""
-        return self._solutions(np.asarray(x, dtype=float)[None, :]).row(0).u_eta[: self.bp.qp.d_u]
-
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """First inputs at the rows of X, NaN rows where infeasible."""
         return self._solutions(X).u_eta[:, : self.bp.qp.d_u]
@@ -189,9 +185,6 @@ class BarrierExpert:
     def jacobian_batch(self, X: np.ndarray) -> np.ndarray:
         """First-input Jacobians at the rows of X, shape (N, d_u, d_x), NaN where infeasible."""
         return barrier_jacobian_batch(self.bp, self._solutions(X).phi)[:, : self.bp.qp.d_u]
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]
 
 
 @dataclass

@@ -25,6 +25,10 @@ __all__ = ["MLPPolicy", "TrainConfig", "AdamW", "train_imitator", "gelu", "gelu_
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# AdamW's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _cdf(z):
@@ -121,16 +125,10 @@ class MLPPolicy:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self._forward(X, with_slopes=False)[1][-1]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def jacobian_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact network Jacobians d u / d x, shape (B, d_u, d_x)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self._jacobian_chain(self._forward(X)[2])[1][-1]
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     # --- loss and gradient ---------------------------------------------------
     def loss_and_grads(self, X: np.ndarray, U: np.ndarray,
@@ -207,12 +205,10 @@ class AdamW:
     intermediates, so a step allocates nothing.
     """
 
-    def __init__(self, params: np.ndarray, lr: float, weight_decay: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, lr: float, weight_decay: float):
         self.params = params
         self.lr = lr
         self.wd = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self._s1 = np.empty_like(params)
@@ -221,23 +217,24 @@ class AdamW:
 
     def step(self, grad: np.ndarray):
         """m, v and p updated as m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
-        p -= lr (m / b1c) / (sqrt(v / b2c) + eps), p -= lr wd p."""
+        p -= lr (m / b1c) / (sqrt(v / b2c) + eps), p -= lr wd p, with b1, b2
+        and eps the ADAM_ constants."""
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         p, m, v, s1, s2 = self.params, self.m, self.v, self._s1, self._s2
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=s1)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=s1)
         m += s1
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=s1)
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=s1)
         s1 *= grad
         v += s1
         np.divide(m, b1c, out=s1)
         s1 *= self.lr
         np.divide(v, b2c, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += self.eps
+        s2 += ADAM_EPS
         s1 /= s2
         p -= s1
         np.multiply(p, self.lr * self.wd, out=s1)

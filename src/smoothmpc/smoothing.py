@@ -64,11 +64,12 @@ def draw_noise(distribution: str, n: int, dim: int, rng: np.random.Generator) ->
 
 def pi_rs(policy, cfg: SmoothingConfig, x: np.ndarray, projector=None) -> np.ndarray:
     """Smoothed control at one state: one row of ``RandomizedPolicy.eval_batch``."""
-    return RandomizedPolicy(policy, cfg, projector=projector)(x)
+    return RandomizedPolicy(policy, cfg, projector=projector).eval_batch(
+        np.asarray(x, dtype=float)[None, :])[0]
 
 
 class RandomizedPolicy:
-    """Callable smoothed policy with common-random-number derivatives.
+    """Smoothed policy, a batch evaluator, with common-random-number derivatives.
 
     The base policy is a batch evaluator: ``base.eval_batch(X)`` gives one
     row per state, NaN where it has no value. Samples landing outside the
@@ -80,9 +81,6 @@ class RandomizedPolicy:
         self.base = base_policy
         self.cfg = cfg
         self.projector = projector
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     @staticmethod
     @functools.lru_cache(maxsize=16)
@@ -135,9 +133,6 @@ class RandomizedPolicy:
         stencil = np.concatenate([X[:, None, :] + step, X[:, None, :] - step], axis=1)
         vals = self.eval_batch(stencil.reshape(-1, d)).reshape(N, 2 * d, -1)
         return np.swapaxes(vals[:, :d] - vals[:, d:], 1, 2) / (2.0 * h)
-
-    def jacobian(self, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-        return self.jacobian_batch(np.asarray(x, dtype=float)[None, :], h=h)[0]
 
 
 def tradeoff_audit(xs: np.ndarray, original: np.ndarray, smoothed: np.ndarray,

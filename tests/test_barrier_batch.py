@@ -7,7 +7,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import newton_oracles
+import smoothmpc.barrier
+from newton_oracles import newton_with_iterate_log
 from smoothmpc.barrier import (
+    _line_search,
+    _newton,
+    _solve_stack,
     barrier_jacobian,
     barrier_jacobian_batch,
     make_barrier_problem,
@@ -17,7 +23,7 @@ from smoothmpc.barrier import (
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import feasible_polygon
 from qp_oracles import interior_radius
-from systems import random_system, tolerance
+from systems import random_bounded_polytope, random_spd, random_system, tolerance
 
 # the oracle's verdict is taken as clear below CLEAR times the offsets'
 # scale; above, the LP's own tolerances decide
@@ -131,3 +137,67 @@ def test_a_start_within_rounding_of_a_facet_goes_to_phase_one(di_qp):
         err = float(np.linalg.norm(batch.u_eta[i] - sol.u_eta))
         assert err <= tolerance(di_qp, x, sol, SimpleNamespace(grad_norm=batch.grad_norm[i]))
         assert interior_radius(di_qp.G, di_qp.bounds_rhs(x)) > 0.5
+
+
+def _newton_stack(rng):
+    """Arguments of ``_newton`` for a random stack from u = 0: an SPD H, a
+    bounded polytope whose offsets vary by row, eta over four decades and
+    linear terms of norm 1e-2 to 1e17, far enough out that the line search
+    meets the domain's edge below its least step. Rows ask for the
+    solver's gradient tolerance, or a third of them for an exact zero."""
+    n, k = int(rng.integers(2, 6)), int(rng.integers(4, 30))
+    G, b = random_bounded_polytope(rng, n, int(rng.integers(0, 4)))
+    b = b * rng.uniform(0.5, 1.5, size=(k, b.size))
+    f = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-2, 17, size=(k, 1))
+    tol = np.where(rng.uniform(size=k) < 1 / 3, 0.0,
+                   1e-12 * (1.0 + np.linalg.norm(f, axis=1)))
+    return (np.zeros((k, n)), b.copy(), random_spd(rng, n), f, 10.0 ** rng.uniform(-3, 1),
+            G, np.ascontiguousarray(G.T), b, tol)
+
+
+def test_newton_keeps_the_iterate_the_logged_engine_returned(monkeypatch):
+    # Every row leaves with its first iterate of least gradient norm, found
+    # in place; the engine that logged every iterate and searched the log
+    # at each exit must agree bit for bit, at each of the four exits. No
+    # draw reaches a non-positive decrement by itself (a solve ruined by
+    # rounding could point uphill), so a few rows' steps are flipped, the
+    # same in both engines, to take that exit at any iteration.
+    def misdirected(A, R):
+        P = _solve_stack(A, R)
+        P[np.ascontiguousarray(R[:, 0, 0]).view(np.uint64) % 31 == 7] *= -1.0
+        return P
+
+    failed_searches = []
+
+    def counted(*args):
+        out = _line_search(*args)
+        failed_searches.append(0 if out[2] is None else int(out[2].sum()))
+        return out
+
+    monkeypatch.setattr(smoothmpc.barrier, "_solve_stack", misdirected)
+    monkeypatch.setattr(newton_oracles, "_solve_stack", misdirected)
+    monkeypatch.setattr(newton_oracles, "_line_search", counted)
+    exits = dict.fromkeys(("converged", "decrement", "line search", "cap"), 0)
+    for seed in range(60):
+        args = _newton_stack(np.random.default_rng(seed))
+        tol = args[-1]
+        for max_iter in (1, 2, 3, 5, 8, 200):
+            got, want = [], []
+            u, g, iters = _newton(*args, max_iter, got)
+            failed_searches.clear()
+            u_ref, g_ref, iters_ref = newton_with_iterate_log(*args, max_iter, want)
+            assert np.array_equal(u, u_ref) and np.array_equal(g, g_ref)
+            assert np.array_equal(iters, iters_ref)
+            assert len(got) == len(want)
+            assert all(np.array_equal(r, r_ref) and np.array_equal(d, d_ref)
+                       for (r, d), (r_ref, d_ref) in zip(got, want))
+            last = np.full(iters.size, np.inf)
+            for rows, dec2 in want:
+                last[rows] = dec2
+            counts = {"converged": np.count_nonzero((iters < max_iter) & (g <= tol)),
+                      "decrement": np.count_nonzero(last <= 0.0),
+                      "line search": sum(failed_searches)}
+            counts["cap"] = iters.size - sum(counts.values())
+            for name, c in counts.items():
+                exits[name] += c
+    assert min(exits.values()) > 0, exits

@@ -118,6 +118,21 @@ def test_cli_malformed_halfspaces_exit_3(tmp_path, capsys, state_box):
     assert capsys.readouterr().err.startswith("configuration error: invalid configuration: constraints")
 
 
+@pytest.mark.parametrize("cost", [{"Q": [[1.0, 0.0], [0.0, -1.0]]},  # not positive definite
+                                  {"R": [[0.01, 0.0]]},  # not square
+                                  {"Q": [[1.0]]}])  # the wrong size
+def test_cli_invalid_cost_exit_3(tmp_path, capsys, cost):
+    # every verb builds the condensed program; a cost it cannot be built
+    # from is refused when the config is read, not by a traceback later
+    cfg = dict(TINY)
+    cfg["cost"] = {**TINY["cost"], **cost}
+    path = tmp_path / "bad_cost.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["pieces", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--resolution", "5"]) == 3
+    assert capsys.readouterr().err.startswith("configuration error: invalid configuration: cost")
+
+
 def test_cli_pieces_unstable_count_exit_2(tiny_cfg, tmp_path):
     # the benchmark count has not converged at toy resolutions
     code = main(["pieces", "--config", str(tiny_cfg), "--out", str(tmp_path / "o"),

@@ -38,9 +38,9 @@ def test_params_is_the_storage_of_every_layer():
     assert net.params.size == sum(W.size for W in net.weights) + sum(b.size for b in net.biases)
     assert all(np.shares_memory(a, net.params) for a in net.weights + net.biases)
     x = np.array([0.5, -1.0])
-    u0 = net(x)
+    u0 = net.eval_batch(x[None])
     net.params[-1] += 0.25  # the output bias is the last entry
-    assert np.array_equal(net(x), u0 + 0.25)
+    assert np.array_equal(net.eval_batch(x[None]), u0 + 0.25)
     before = [W.copy() for W in net.weights]
     opt = AdamW(net.params, lr=1e-2, weight_decay=0.0)
     opt.step(net.loss_and_grads(x[None, :], np.array([[3.0]]))[1])
@@ -122,22 +122,22 @@ def test_pairwise_jacobian_term_matches_the_three_operand_contraction(seed):
 def test_forward_finite_and_flat_roundtrip():
     net = MLPPolicy.init(2, 1, width=16, seed=0, halfwidths=[10.0, 10.0])
     x = np.array([3.0, -2.0])
-    assert np.all(np.isfinite(net(x)))
+    assert np.all(np.isfinite(net.eval_batch(x[None])))
     vec = net.params.copy()
     net2 = MLPPolicy.init(2, 1, width=16, seed=99, halfwidths=[10.0, 10.0])
     net2.params[:] = vec
-    assert np.allclose(net2(x), net(x))
+    assert np.allclose(net2.eval_batch(x[None]), net.eval_batch(x[None]))
 
 
 def test_network_jacobian_matches_fd():
     net = MLPPolicy.init(2, 1, width=8, seed=3, halfwidths=[2.0, 5.0])
     x = np.array([0.7, -1.2])
-    J = net.jacobian(x)
+    J = net.jacobian_batch(x[None])[0]
     h = 1e-6
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        col = (net(x + e) - net(x - e)) / (2 * h)
+        col = (net.eval_batch((x + e)[None])[0] - net.eval_batch((x - e)[None])[0]) / (2 * h)
         assert np.abs(J[:, j] - col).max() <= 1e-7
 
 

@@ -39,14 +39,15 @@ def test_rollout_stabilizes_double_integrator(di):
 
 
 def test_rollout_barrier_policies_stabilize(di):
-    from smoothmpc.barrier import make_barrier_problem, pi_barrier
+    from smoothmpc.barrier import make_barrier_problem
     from smoothmpc.core import feasible_radii
+    from smoothmpc.experiments import BarrierExpert
 
     sys_, qp = di
     R = feasible_radii(qp, np.zeros(2)).R
     for eta in (1e-2, 1.0, 100.0):
         bp = make_barrier_problem(qp, eta, outer_radius=R)
-        traj = rollout(sys_, Rows(lambda x: pi_barrier(bp, x)), np.array([8.0, -2.0]), 50)
+        traj = rollout(sys_, BarrierExpert(bp), np.array([8.0, -2.0]), 50)
         assert traj.completed, traj.failure
         assert np.linalg.norm(traj.states[-1]) <= 0.1
 

@@ -184,7 +184,7 @@ def test_batch_type_error_propagates():
 def test_randomized_policy_jacobian_crn():
     cfg = SmoothingConfig(sigma=0.3, distribution="gaussian", n_samples=3000, seed=5)
     rs = RandomizedPolicy(Clip(), cfg)
-    J = rs.jacobian(np.array([0.0]), h=1e-3)
+    J = rs.jacobian_batch(np.array([[0.0]]), h=1e-3)[0]
     # smoothed slope at the center is close to the inner slope -2
     assert -2.05 <= J[0, 0] <= -1.5
 
