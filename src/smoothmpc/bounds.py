@@ -193,17 +193,19 @@ def hessian_upper_bound(bp: BarrierProblem, x0: np.ndarray, L: float, C: float,
 
 
 def newton_log_barrier(Hq: np.ndarray, lin: np.ndarray, G: np.ndarray, b: np.ndarray,
-                       eta: float, tol: float = 1e-12, max_iter: int = 400) -> np.ndarray:
+                       eta: float, tol: float = 1e-12, max_iter: int = 400,
+                       chebyshev: tuple | None = None) -> np.ndarray:
     """Minimize 0.5 x^T Hq x + lin^T x - eta sum_i log(b_i - g_i^T x).
 
     Oracle-grade Newton solve on an arbitrary polytope with the pure log
-    barrier, started from the Chebyshev center.
+    barrier, started from the Chebyshev center: ``chebyshev`` is its
+    (center, radius) when the caller has solved it, else its LP runs here.
     """
     Hq = np.asarray(Hq, dtype=float)
     lin = np.asarray(lin, dtype=float)
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
-    x_init, r = chebyshev_center(G, b)
+    x_init, r = chebyshev_center(G, b) if chebyshev is None else chebyshev
     if r <= 0:
         raise InfeasibleError("polytope has empty interior")
     scale = 1.0 + float(np.linalg.norm(lin))
@@ -230,11 +232,10 @@ def quad_opt_bounds(G: np.ndarray, b: np.ndarray, Hmat: np.ndarray, v: np.ndarra
     m_eig, M_eig = float(eigs.min()), float(eigs.max())
 
     x_star = raw_solve_qp(Hmat, -(Hmat @ v), G, b).z
-    x_eta = newton_log_barrier(Hmat, -(Hmat @ v), G, b, eta)
-
-    # concentric radii around the Chebyshev center
+    # concentric radii around the Chebyshev center, where the Newton solve starts
     radii = polytope_radii(G, b)
     r, R = radii.r, radii.R_center
+    x_eta = newton_log_barrier(Hmat, -(Hmat @ v), G, b, eta, chebyshev=(radii.center, r))
 
     ctx = {"eta": eta, "nu": nu, "m_eig": m_eig, "M_eig": M_eig, "r": r, "R": R}
     reports = [

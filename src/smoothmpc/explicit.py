@@ -219,7 +219,11 @@ def _region_mask(region: _PieceRegion, X: np.ndarray) -> np.ndarray:
     # in place: a large batch holds one (N, rows) array, not two
     Y = _products(X, region.A)
     Y -= region.v
-    return np.all(Y <= region.t, axis=1)
+    k = region.t.size
+    if k == 0:
+        return np.ones(X.shape[0], dtype=bool)
+    # a state's k row tests, read as one k-byte record, pass when all its bytes are 1
+    return (Y <= region.t).view(f"V{k}")[:, 0] == np.ones(k, dtype=bool).view(f"V{k}")[0]
 
 
 @dataclass
@@ -416,11 +420,14 @@ class _BucketGrid:
 
     def cells(self, X: np.ndarray) -> np.ndarray:
         """Bucket index of each row; n**d for rows outside the box or not finite."""
-        t = (X - self.lo) / self.width
-        inside = np.all((t >= 0) & (t <= self.n), axis=1)
-        cells = np.full(X.shape[0], self.n ** X.shape[1], dtype=np.intp)
-        idx = np.minimum(t[inside].astype(np.intp), self.n - 1)
-        cells[inside] = np.ravel_multi_index(tuple(idx.T), (self.n,) * X.shape[1])
+        cells = np.zeros(X.shape[0], dtype=np.intp)
+        inside = np.ones(X.shape[0], dtype=bool)
+        for j in range(X.shape[1]):
+            t = (X[:, j] - self.lo[j]) / self.width[j]
+            inside &= (t >= 0) & (t <= self.n)
+            with np.errstate(invalid="ignore"):  # a row outside the box is reset below
+                cells = cells * self.n + np.minimum(t.astype(np.intp), self.n - 1)
+        cells[~inside] = self.n ** X.shape[1]
         return cells
 
     def _err(self, region: _PieceRegion) -> np.ndarray:
@@ -482,29 +489,40 @@ class PieceTableEvaluator:
             keep = self._buckets.kept_rows(region, self._candidates[r])
             self._reduced.append(_PieceRegion(piece=region.piece, A=region.A[keep],
                                               v=region.v[keep], t=region.t[keep]))
-        # the first-input gains, one (d_u, d_x) block per region
-        self._gains = np.array([region.piece.K[: qp.d_u] for region in self._regions]
-                               ).reshape(-1, qp.d_u, qp.d_x)
+
+    def _hits(self, X: np.ndarray):
+        """Yield (r, rows): the rows of X whose first region in occupancy order
+        is r, in ascending order, and then (-1, rows) for the finite rows
+        that no region holds. Each finite row is yielded once, and a row that
+        is not finite never."""
+        cells = self._buckets.cells(X)
+        outside = cells == self._candidates.shape[1] - 1
+        far = np.flatnonzero(outside)
+        far = far[np.all(np.isfinite(X[far]), axis=1)]
+        for todo, tests in ((np.flatnonzero(~outside), self._reduced), (far, self._regions)):
+            # each undecided row carries its bucket, and leaves with its region's hits
+            ct = cells[todo]
+            seen = np.bincount(ct, minlength=self._candidates.shape[1]) > 0
+            for r in np.flatnonzero(self._candidates[:, seen].any(axis=1)):
+                if todo.size == 0:
+                    break
+                test = self._candidates[r][ct]
+                rows = todo[test]
+                if rows.size == 0:
+                    continue
+                held = _region_mask(tests[r], X[rows])
+                if held.any():
+                    yield r, rows[held]
+                    test[test] = held
+                    todo, ct = todo[~test], ct[~test]
+            if todo.size:
+                yield -1, todo
 
     def _locate(self, X: np.ndarray) -> np.ndarray:
         """Occupancy-order index of the first region holding each finite row; -1 for none."""
         which = np.full(X.shape[0], -1, dtype=np.intp)
-        cells = self._buckets.cells(X)
-        finite = np.all(np.isfinite(X), axis=1)
-        outside = cells == self._candidates.shape[1] - 1
-        for todo, tests in ((np.flatnonzero(finite & ~outside), self._reduced),
-                            (np.flatnonzero(finite & outside), self._regions)):
-            seen = np.bincount(cells[todo], minlength=self._candidates.shape[1]) > 0
-            for r in np.flatnonzero(self._candidates[:, seen].any(axis=1)):
-                if todo.size == 0:
-                    break
-                test = todo[self._candidates[r, cells[todo]]]
-                if test.size == 0:
-                    continue
-                hit = test[_region_mask(tests[r], X[test])]
-                if hit.size:
-                    which[hit] = r
-                    todo = todo[which[todo] < 0]
+        for r, rows in self._hits(X):
+            which[rows] = r
         return which
 
     def eval_batch(self, X: np.ndarray, fallback: str = "nan") -> np.ndarray:
@@ -512,22 +530,21 @@ class PieceTableEvaluator:
 
         ``fallback``: "nan" marks unmatched points, "qp" solves the finite ones exactly.
         """
+        if fallback not in ("nan", "qp"):
+            raise ValueError("fallback must be 'nan' or 'qp'")
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.full((X.shape[0], self.qp.d_u), np.nan)
-        which = self._locate(X)
-        # one stable sort groups the rows by region, each group in ascending order
-        order = np.argsort(which, kind="stable")
-        for hit in np.split(order, np.flatnonzero(np.diff(which[order])) + 1):
-            if hit.size == 0 or which[hit[0]] < 0:
-                continue
-            piece = self._regions[which[hit[0]]].piece
-            out[hit] = _products(X[hit], piece.K[: self.qp.d_u]) + piece.k[: self.qp.d_u]
-        if fallback == "qp":
-            for i in np.flatnonzero((which < 0) & np.all(np.isfinite(X), axis=1)):
-                try:
-                    out[i] = solve_qp(self.qp, X[i]).u_star[: self.qp.d_u]
-                except InfeasibleError:
-                    pass
+        d_u = self.qp.d_u
+        out = np.full((X.shape[0], d_u), np.nan)
+        for r, rows in self._hits(X):
+            if r >= 0:
+                piece = self._regions[r].piece
+                out[rows] = _products(X[rows], piece.K[:d_u]) + piece.k[:d_u]
+            elif fallback == "qp":
+                for i in rows:
+                    try:
+                        out[i] = solve_qp(self.qp, X[i]).u_star[:d_u]
+                    except InfeasibleError:
+                        pass
         return out
 
     def jacobian_batch(self, X: np.ndarray) -> np.ndarray:
@@ -540,15 +557,16 @@ class PieceTableEvaluator:
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full((X.shape[0], self.qp.d_u, self.qp.d_x), np.nan)
-        which = self._locate(X)
-        hit = which >= 0
-        out[hit] = self._gains[which[hit]]
-        for i in np.flatnonzero((which < 0) & np.all(np.isfinite(X), axis=1)):
-            try:
-                sol = solve_qp(self.qp, X[i])
-            except InfeasibleError:
+        for r, rows in self._hits(X):
+            if r >= 0:
+                out[rows] = self._regions[r].piece.K[: self.qp.d_u]
                 continue
-            out[i] = gain_for_sigma(self.qp, sol.sigma).K[: self.qp.d_u]
+            for i in rows:
+                try:
+                    sol = solve_qp(self.qp, X[i])
+                except InfeasibleError:
+                    continue
+                out[i] = gain_for_sigma(self.qp, sol.sigma).K[: self.qp.d_u]
         return out
 
 

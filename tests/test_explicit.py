@@ -432,6 +432,13 @@ def test_lookup_default_is_nan_and_call_solves_the_qp(di_qp, di_table):
                           gain_for_sigma(di_qp, sol.sigma).K[:1])
 
 
+def test_unknown_fallback_is_refused(di_table):
+    table = di_table[1]
+    for fallback in ("QP", "NaN", "none", ""):
+        with pytest.raises(ValueError, match="fallback"):
+            table.eval_batch(np.zeros((3, 2)), fallback=fallback)
+
+
 def test_a_table_without_regions_answers_by_the_qp(di_qp):
     # an infeasible grid discovers no piece
     empty = PieceTableEvaluator(di_qp, discover_pieces(di_qp, np.array([[50.0, 50.0]])))
@@ -502,6 +509,89 @@ def test_batch_inside_one_bucket_tests_only_its_candidates(di_table, monkeypatch
     assert 1 <= len(tested) <= len(allowed)
     assert set(tested) <= allowed
     assert len(set(tested)) == len(tested)
+
+
+def face_facet_states(table, rng, count):
+    """Planar states within a few ulps of both a bucket face and a region
+    facet: ``count`` of the points where a row x . a - v = t of a region
+    crosses a face x_j = lo_j + i width_j of the bucket grid while the
+    region's other rows pass, each with a lattice of -3..3 ulps per
+    coordinate around it. Returns the states, 49 per point, and each
+    point's region."""
+    buckets = table._buckets
+    lo, width, n = buckets.lo, buckets.width, buckets.n
+    faces = lo[:, None] + np.arange(n + 1) * width[:, None]
+    points, owners = [], []
+    for r, region in enumerate(table._regions):
+        for i, (a, level) in enumerate(zip(region.A, region.v + region.t)):
+            for j in (0, 1):
+                if a[1 - j] == 0:
+                    continue
+                p = np.empty((n + 1, 2))
+                p[:, j] = faces[j]
+                p[:, 1 - j] = (level - a[j] * faces[j]) / a[1 - j]
+                slack = p @ region.A.T - region.v - region.t
+                slack[:, i] = 0.0
+                p = p[np.all((p >= faces[:, 0]) & (p <= faces[:, -1]), axis=1)
+                      & np.all(slack <= 1e-12, axis=1)]
+                points.append(p)
+                owners += [r] * p.shape[0]
+    P, owners = np.vstack(points), np.array(owners)
+    pick = rng.choice(P.shape[0], min(count, P.shape[0]), replace=False)
+    offsets = np.stack(np.meshgrid(*[np.arange(-3, 4)] * 2, indexing="ij"), axis=-1).reshape(-1, 2)
+    out = np.repeat(P[pick], offsets.shape[0], axis=0)
+    offsets = np.tile(offsets, (pick.size, 1))
+    for k in range(1, 4):
+        out = np.where(offsets >= k, np.nextafter(out, np.inf), out)
+        out = np.where(offsets <= -k, np.nextafter(out, -np.inf), out)
+    return out, owners[pick]
+
+
+def assert_face_facet_states_match_scan(table, rng, count):
+    X, owners = face_facet_states(table, rng, count)
+    assert np.array_equal(table._locate(X), [_scan_index(table, x) for x in X])
+    assert np.array_equal(table.eval_batch(X), _scan_oracle(table, X, "nan"), equal_nan=True)
+    # most lattices straddle both a bucket face and their region's facet
+    cells = table._buckets.cells(X).reshape(-1, 49)
+    held = np.array([_region_mask(table._regions[r], Y) for r, Y in zip(owners, X.reshape(-1, 49, 2))])
+    straddle = (cells.min(axis=1) != cells.max(axis=1)) & held.any(axis=1) & ~held.all(axis=1)
+    assert straddle.mean() > 0.5
+
+
+def test_states_at_bucket_faces_and_region_facets_match_scan(di_table):
+    assert_face_facet_states_match_scan(di_table[1], np.random.default_rng(71), 80)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_states_at_bucket_faces_and_region_facets_match_scan_random_systems(seed):
+    rng = np.random.default_rng(seed)
+    qp = random_system(rng)[1]
+    while qp.d_x != 2:
+        qp = random_system(rng)[1]
+    grid = state_grid([-2.5] * 2, [2.5] * 2, 21)
+    assert_face_facet_states_match_scan(PieceTableEvaluator(qp, discover_pieces(qp, grid)), rng, 80)
+
+
+def test_states_at_a_bucket_face_on_a_region_facet_match_scan_clip(clip_qp):
+    # In one dimension a facet is a point: for each row of each region, put
+    # the face of bucket 100, 2304 or 4000 on it, and probe -40..40 ulps
+    # around it. Dropping both the rounding bound and the index padding from
+    # the bucket grid makes a table answer otherwise than the scan here.
+    width = 1.0 / 512
+    base = PieceTableEvaluator(clip_qp, discover_pieces(clip_qp, state_grid([-4.0], [4.0], 201)))
+    facets = np.concatenate([(r.v + r.t)[r.A[:, 0] != 0] / r.A[r.A[:, 0] != 0, 0]
+                             for r in base._regions])
+    assert facets.size == 10
+    for facet in facets:
+        X = (facet + np.arange(-40, 41) * np.spacing(facet))[:, None]
+        for face in (100, 2304, 4000):
+            lo = facet - face * width
+            grid = state_grid([lo], [lo + smoothmpc.explicit.BUCKET_CELLS * width], 201)
+            table = PieceTableEvaluator(clip_qp, discover_pieces(clip_qp, grid))
+            assert np.unique(table._buckets.cells(X)).tolist() == [face - 1, face]
+            assert np.array_equal(table._locate(X), [_scan_index(table, x) for x in X])
+            assert np.array_equal(table.eval_batch(X), _scan_oracle(table, X, "nan"),
+                                  equal_nan=True)
 
 
 # --- reduced row tests inside the box ------------------------------------------
@@ -714,9 +804,26 @@ def _facet_lattices(table, grid, rng, per_block):
     return np.vstack(out)
 
 
-def assert_rows_do_not_depend_on_the_batch(table, X, qp_rows, rng):
+def odd_rows(rng, table):
+    """Rows outside the discovery box, far outside it (infeasible on these
+    systems' state boxes) and not finite."""
+    lo, hi = table.collection.box
+    span = hi - lo
+    near = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, size=(60, lo.size))
+    near = near[np.any((near < lo) | (near > hi), axis=1)]
+    far = lo + rng.choice([-5.0, 6.0], size=(6, lo.size)) * span
+    bad = np.repeat(rng.uniform(lo, hi, size=(1, lo.size)), 5, axis=0)
+    bad[0, 0], bad[1, -1], bad[2, -1], bad[3] = np.nan, np.inf, -np.inf, np.nan
+    bad[4] = np.inf
+    return np.vstack([near, far, bad])
+
+
+def assert_rows_do_not_depend_on_the_batch(table, X, qp_rows, rng, monkeypatch):
     """Row i of every answer of the table, for the batch X, equals the
-    answer for X[i] alone and for X[i] inside a two-row batch, bit for bit."""
+    answer for X[i] alone and for X[i] inside a two-row batch, bit for bit.
+    The QP fallback and the gains solve exactly the finite rows that no
+    region holds, and both leave NaN exactly where those rows are
+    infeasible or a row is not finite."""
     answers = (("eval_batch", table.eval_batch, X),
                ("jacobian_batch", table.jacobian_batch, X),
                ("_locate", table._locate, X),
@@ -727,28 +834,48 @@ def assert_rows_do_not_depend_on_the_batch(table, X, qp_rows, rng):
         for i, j in enumerate(partner):
             assert np.array_equal(f(Y[i:i + 1])[0], rows[i], equal_nan=True), (name, Y[i])
             assert np.array_equal(f(Y[[i, j]])[0], rows[i], equal_nan=True), (name, Y[i])
+    unheld = (table._locate(X) < 0) & np.all(np.isfinite(X), axis=1)
+    infeasible = np.zeros(X.shape[0], dtype=bool)
+    for i in np.flatnonzero(unheld):
+        try:
+            solve_qp(table.qp, X[i])
+        except InfeasibleError:
+            infeasible[i] = True
+    assert infeasible.any() and not np.all(np.isfinite(X))
+    solved = []
+    monkeypatch.setattr(smoothmpc.explicit, "solve_qp",
+                        lambda qp, x: solved.append(tuple(x)) or solve_qp(qp, x))
+    U = table.eval_batch(X, fallback="qp")
+    assert sorted(solved) == sorted(map(tuple, X[unheld]))
+    solved.clear()
+    J = table.jacobian_batch(X)
+    assert sorted(solved) == sorted(map(tuple, X[unheld]))
+    nan = ~np.all(np.isfinite(X), axis=1) | infeasible
+    assert np.array_equal(np.isnan(U).any(axis=1), nan)
+    assert np.array_equal(np.isnan(J).any(axis=(1, 2)), nan)
 
 
-def test_table_answers_do_not_depend_on_the_batch_double_integrator(di_qp):
+def test_table_answers_do_not_depend_on_the_batch_double_integrator(di_qp, monkeypatch):
     grid = state_grid([-10, -10], [10, 10], 201)
     table = PieceTableEvaluator(di_qp, discover_pieces(di_qp, grid))
     rng = np.random.default_rng(67)
     F = _facet_lattices(table, grid, rng, 169)
     assert F.shape[0] == 4 * 169
-    X = np.vstack([probe_states(rng, table, grid, 250), F])
+    X = np.vstack([probe_states(rng, table, grid, 250), F, odd_rows(rng, table)])
     assert_rows_do_not_depend_on_the_batch(table, X, rng.choice(X.shape[0], 100, replace=False),
-                                           rng)
+                                           rng, monkeypatch)
 
 
 @pytest.mark.parametrize("d_x", [2, 3])
 @pytest.mark.parametrize("seed", range(2))
-def test_table_answers_do_not_depend_on_the_batch_random_systems(d_x, seed):
+def test_table_answers_do_not_depend_on_the_batch_random_systems(d_x, seed, monkeypatch):
     rng = np.random.default_rng(seed)
     qp = random_system(rng)[1]
     while qp.d_x != d_x:
         qp = random_system(rng)[1]
     grid = state_grid([-2.5] * d_x, [2.5] * d_x, 21 if d_x == 2 else 9)
     table = PieceTableEvaluator(qp, discover_pieces(qp, grid))
-    X = np.vstack([probe_states(rng, table, grid, 100), _facet_lattices(table, grid, rng, 100)])
+    X = np.vstack([probe_states(rng, table, grid, 100), _facet_lattices(table, grid, rng, 100),
+                   odd_rows(rng, table)])
     assert_rows_do_not_depend_on_the_batch(table, X, rng.choice(X.shape[0], 60, replace=False),
-                                           rng)
+                                           rng, monkeypatch)

@@ -8,6 +8,7 @@ import pytest
 import smoothmpc
 import smoothmpc.qp
 from smoothmpc.barrier import make_barrier_problem, solve_barrier
+from smoothmpc.bounds import quad_opt_bounds
 from smoothmpc.core import feasible_radii
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import feasible_polygon
@@ -43,6 +44,16 @@ def test_barrier_solve_lp_counts(di_qp, lp_calls):
 def test_radii_lp_count(di_qp, lp_calls):
     # the Chebyshev LP and one block LP for the whole bounding box
     feasible_radii(di_qp, np.array([1.0, 0.5]))
+    assert len(lp_calls) == 2
+
+
+def test_quad_opt_bounds_lp_count(lp_calls):
+    # the radii's two LPs; the pure-barrier Newton starts at their Chebyshev
+    # center instead of solving that LP again
+    G = np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]])
+    b = np.array([1.0, 2.0, 1.5, 1.0, 1.8])
+    reports = quad_opt_bounds(G, b, np.eye(2), np.array([3.0, 0.5]), eta=0.1, nu=5.0)
+    assert all(r.satisfied for r in reports)
     assert len(lp_calls) == 2
 
 
