@@ -10,6 +10,7 @@ from .barrier import (
     BarrierProblem,
     BarrierSolution,
     barrier_hessian,
+    barrier_hessian_batch,
     barrier_jacobian,
     barrier_jacobian_batch,
     convex_combination,

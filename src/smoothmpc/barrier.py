@@ -50,6 +50,7 @@ __all__ = [
     "convex_combination",
     "ConvexCombination",
     "barrier_hessian",
+    "barrier_hessian_batch",
     "tensor_spectral_norm",
 ]
 
@@ -566,19 +567,34 @@ def convex_combination(bp: BarrierProblem, sol: BarrierSolution) -> ConvexCombin
                              log_normalizer=log_normalizer)
 
 
-def barrier_hessian(bp: BarrierProblem, sol: BarrierSolution) -> np.ndarray:
-    """State Hessian of the solution map at ``sol``, shape (n, d_x, d_x).
+def barrier_hessian_batch(bp: BarrierProblem, phi: np.ndarray) -> tuple:
+    """Jacobians (k, n, d_x) and state Hessians (k, n, d_x, d_x) of the
+    solution map at a stack of residual rows phi, from one factor of each
+    Newton matrix; NaN where a row of phi is (a state with no solution).
 
-    T[:, j, k] = -2 eta A^{-1} G^T Phi^{-3} (dphi_j * dphi_k) with
-    dphi = P - G J: one more solve with the Jacobian's factor of A. T is
-    symmetric in its two state slots by construction.
+    T_i[:, j, l] = -2 eta A_i^{-1} G^T Phi_i^{-3} (dphi_j * dphi_l) with
+    dphi = P - G J_i: one more solve with the Jacobian's factor of A_i. T_i
+    is symmetric in its two state slots by construction.
     """
     qp = bp.qp
-    solve, J = _sensitivity(bp, sol.phi[None, :])
-    dphi = qp.P - qp.G @ J[0]
-    rhs = (sol.phi ** -3)[:, None, None] * (dphi[:, :, None] * dphi[:, None, :])
-    Z = solve((qp.G.T @ rhs.reshape(qp.m, -1))[None])[0]
-    return (-2.0 * bp.eta) * Z.reshape(qp.n, qp.d_x, qp.d_x)
+    phi = np.atleast_2d(phi)
+    ok = ~np.isnan(phi).any(axis=1)
+    J = np.full((phi.shape[0], qp.n, qp.d_x), np.nan)
+    T = np.full((phi.shape[0], qp.n, qp.d_x, qp.d_x), np.nan)
+    if ok.any():
+        p = phi[ok]
+        solve, J[ok] = _sensitivity(bp, p)
+        dphi = qp.P - qp.G @ J[ok]
+        rhs = (p ** -3)[:, :, None, None] * (dphi[:, :, :, None] * dphi[:, :, None, :])
+        Z = solve(qp.G.T @ rhs.reshape(p.shape[0], qp.m, -1))
+        T[ok] = (-2.0 * bp.eta) * Z.reshape(-1, qp.n, qp.d_x, qp.d_x)
+    return J, T
+
+
+def barrier_hessian(bp: BarrierProblem, sol: BarrierSolution) -> np.ndarray:
+    """State Hessian of the solution map at ``sol``, shape (n, d_x, d_x): the
+    one-row stack of ``barrier_hessian_batch``."""
+    return barrier_hessian_batch(bp, sol.phi[None, :])[1][0]
 
 
 def _fourier(S0: float, S1: float, S2: float) -> np.ndarray:

@@ -187,8 +187,7 @@ def hessian_upper_bound(bp: BarrierProblem, x0: np.ndarray, L: float, C: float,
     res = residual_lower_bound(bp, x0, u_star, radii=radii)
     if res <= 0:
         raise ValueError("residual lower bound is not positive")
-    Pn = float(np.linalg.norm(qp.P, 2))
-    Gn = float(np.linalg.norm(qp.G, 2))
+    Pn, Gn = qp.norms
     return (C / res) * (Pn + Gn * L) ** 2
 
 

@@ -261,6 +261,11 @@ class CondensedQP:
         """H^{-1} F^T, the unconstrained gain, solved once per program (read-only)."""
         return _freeze(np.linalg.solve(self.H, self.F.T))
 
+    @cached_property
+    def norms(self) -> tuple:
+        """(||P||_2, ||G||_2), computed once per program."""
+        return float(np.linalg.norm(self.P, 2)), float(np.linalg.norm(self.G, 2))
+
     def bounds_rhs(self, x0: np.ndarray) -> np.ndarray:
         """Right-hand side w + P x0 of the input-sequence polytope."""
         return self.w + self.P @ np.asarray(x0, dtype=float)

@@ -18,6 +18,7 @@ from .barrier import (
     BarrierBatch,
     BarrierProblem,
     barrier_hessian,
+    barrier_hessian_batch,
     barrier_jacobian_batch,
     make_barrier_problem,
     solve_barrier,
@@ -37,7 +38,7 @@ from .bounds import (
 )
 from .core import CondensedQP, build_condensed, feasible_radii, load_problem, state_halfwidth
 from .errors import ConfigurationError, InfeasibleError
-from .explicit import PieceTableEvaluator, c_constant, discover_pieces, max_gain_norm, state_grid
+from .explicit import PieceTableEvaluator, discover_pieces, gain_constants, state_grid
 from .mlp import TrainConfig, train_imitator
 from .qp import support
 from .simulate import imitation_error, sample_dataset
@@ -115,6 +116,7 @@ class PolygonProjector:
         self.vertices = np.asarray(vertices, dtype=float)
         self.edges = np.roll(self.vertices, -1, axis=0) - self.vertices
         self._edge_norm2 = np.einsum("ij,ij->i", self.edges, self.edges)
+        self.last_inside = None
 
     def inside(self, X: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Rows X whose cross product e0 (x1 - v1) - e1 (x0 - v0) with every
@@ -122,8 +124,11 @@ class PolygonProjector:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         x0, x1 = np.ascontiguousarray(X[:, 0]), np.ascontiguousarray(X[:, 1])
         ok = np.ones(X.shape[0], dtype=bool)
+        a, b, passed = np.empty_like(x0), np.empty_like(x0), np.empty_like(ok)
         for (v0, v1), (e0, e1) in zip(self.vertices, self.edges):
-            ok &= e0 * (x1 - v1) - e1 * (x0 - v0) >= margin
+            np.multiply(np.subtract(x1, v1, out=a), e0, out=a)
+            np.multiply(np.subtract(x0, v0, out=b), e1, out=b)
+            ok &= np.greater_equal(np.subtract(a, b, out=a), margin, out=passed)
         return ok
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
@@ -132,27 +137,27 @@ class PolygonProjector:
         A row outside takes, over the edges in order, the first of the
         least distances to its clamped projections v + t e, t = ((x - v) . e
         / |e|^2) clipped to [0, 1], one edge at a time; a NaN distance, once
-        met, is kept.
+        met, is kept. ``last_inside`` keeps the call's ``inside`` mask.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = X.copy()
-        todo = ~self.inside(X)
-        if not todo.any():
+        self.last_inside = self.inside(X)
+        todo = np.flatnonzero(~self.last_inside)
+        if todo.size == 0:
             return out
-        P = X[todo]
-        p0, p1 = np.ascontiguousarray(P[:, 0]), np.ascontiguousarray(P[:, 1])
+        p0, p1 = X[:, 0].take(todo), X[:, 1].take(todo)
         for k, ((v0, v1), (e0, e1)) in enumerate(zip(self.vertices, self.edges)):
             t = np.clip(((p0 - v0) * e0 + (p1 - v1) * e1) / self._edge_norm2[k], 0.0, 1.0)
             q0, q1 = v0 + t * e0, v1 + t * e1
             d2 = (p0 - q0) ** 2 + (p1 - q1) ** 2
             if k == 0:
-                best, proj = d2, np.stack([q0, q1], axis=1)
+                best, b0, b1 = d2, q0, q1
                 continue
             closer = (d2 < best) | (np.isnan(d2) & ~np.isnan(best))
-            best[closer] = d2[closer]
-            proj[closer, 0] = q0[closer]
-            proj[closer, 1] = q1[closer]
-        out[todo] = proj
+            best = np.where(closer, d2, best)
+            b0, b1 = np.where(closer, q0, b0), np.where(closer, q1, b1)
+        out[todo, 0] = b0
+        out[todo, 1] = b1
         return out
 
 
@@ -383,7 +388,6 @@ class _SmoothnessTask:
         bench = self.bench
         pts = bench.sample_initial_states(400, seed=self.seed + 17)
         probe = np.array([2.0, 0.5])
-        projected = float("nan")
         if kind == "barrier":
             expert = bench.barrier_expert(param)
             # the Jacobian transition width scales like sqrt(eta)
@@ -397,9 +401,12 @@ class _SmoothnessTask:
             met = expert_smoothness(lambda X: expert.jacobian_batch(X, h=h_fd),
                                     feature_scale=param)
             hess = float("nan")
-            projected = float(1.0 - bench.projector.inside(expert.samples(pts)).mean())
+        sup_error = _sup_error(expert, bench.table, pts)
+        # the share of the sup-error samples outside the polygon, from their one projection
+        projected = (float(1.0 - bench.projector.last_inside.mean()) if kind == "randomized"
+                     else float("nan"))
         return {"kind": kind, "param": param, "L0_max": met["L0_max"],
-                "L1_max": met["L1_max"], "sup_error": _sup_error(expert, bench.table, pts),
+                "L1_max": met["L1_max"], "sup_error": sup_error,
                 "hessian_norm": hess, "projected_fraction": projected}
 
 
@@ -463,8 +470,7 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
     eta_grid = [float(e) for e in eta_grid if e > 0]
     qp = bench.qp
     sigmas = [p.sigma for p in bench.table.collection.pieces]
-    L = max_gain_norm(qp, sigmas)
-    C = c_constant(qp, sigmas)
+    L, C = gain_constants(qp, sigmas)
     states = bench.sample_initial_states(4 * n_states, seed=seed)
     row_ok = np.linalg.norm(qp.G, axis=1) >= 1.0 - 1e-12
     from .explicit import solve_qp
@@ -480,16 +486,16 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
             kept.append((x0, rad, solve_qp(qp, x0).u_star))
         except InfeasibleError:
             continue
-    solves = []  # (bp, solutions, Jacobians) per eta, each one stack over the kept states
+    solves = []  # (bp, solutions, Jacobians, Hessians) per eta, each one stack over the kept states
     if kept:
         X = np.array([x0 for x0, _, _ in kept])
         for eta in eta_grid:
             bp = make_barrier_problem(qp, eta, outer_radius=bench.outer_radius)
             batch = solve_barrier_batch(bp, X)
-            solves.append((bp, batch, barrier_jacobian_batch(bp, batch.phi)))
+            solves.append((bp, batch, *barrier_hessian_batch(bp, batch.phi)))
     rows, reports = [], []
     for i, (x0, rad, u_star) in enumerate(kept):
-        for bp, batch, jacs in solves:
+        for bp, batch, jacs, hessians in solves:
             sol = batch.row(i)
             err = float(np.linalg.norm(sol.u_eta - u_star))
             ctx = {"x0": tuple(np.round(x0, 6)), "eta": bp.eta}
@@ -515,7 +521,7 @@ def bounds_sweep(bench: Workbench, eta_grid, n_states: int = 50, seed: int = 0,
             hess_norm = float("nan")
             hess_bound = float("nan")
             if with_hessian:
-                hess_norm = tensor_spectral_norm(barrier_hessian(bp, sol))
+                hess_norm = tensor_spectral_norm(hessians[i])
                 hess_bound = hessian_upper_bound(bp, x0, L, C, u_star=u_star, radii=rad)
                 reports.append(BoundReport.check("hessian_upper", hess_norm, hess_bound, ctx))
             rows.append({

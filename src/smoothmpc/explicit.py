@@ -33,6 +33,7 @@ __all__ = [
     "enumerate_nonsingular_sigmas",
     "max_gain_norm",
     "c_constant",
+    "gain_constants",
 ]
 
 # constraint counted active when residual <= ACTIVE_TOL * (1 + |w_i|)
@@ -132,6 +133,18 @@ def solve_qp(qp: CondensedQP, x0: np.ndarray) -> QPSolution:
                       multipliers=sol.multipliers)
 
 
+def _active_set(qp: CondensedQP, sigma) -> ActiveSet:
+    """sigma as an ActiveSet over the m rows of qp, with at most n of them active."""
+    if not isinstance(sigma, ActiveSet):
+        sigma = ActiveSet(sigma)
+    if sigma.m != qp.m:
+        raise ValueError("sigma length must equal the number of constraints")
+    if sigma.popcount > qp.n:
+        raise DegenerateActiveSetError(
+            f"active set of size {sigma.popcount} exceeds the {qp.n} inputs")
+    return sigma
+
+
 def gain_for_sigma(qp: CondensedQP, sigma: ActiveSet | np.ndarray,
                    pseudo: bool = False) -> AffinePiece:
     """Affine gains (K_sigma, k_sigma) for a given active set.
@@ -140,13 +153,7 @@ def gain_for_sigma(qp: CondensedQP, sigma: ActiveSet | np.ndarray,
     with ``pseudo`` the padded pseudoinverse is used instead, matching the
     degenerate-set convention of the gain-variation constant.
     """
-    if not isinstance(sigma, ActiveSet):
-        sigma = ActiveSet(sigma)
-    if sigma.m != qp.m:
-        raise ValueError("sigma length must equal the number of constraints")
-    if sigma.popcount > qp.n:
-        raise DegenerateActiveSetError(
-            f"active set of size {sigma.popcount} exceeds the {qp.n} inputs")
+    sigma = _active_set(qp, sigma)
     if pseudo:
         Minv = padded_pinv(qp.gram, sigma.sigma)
     else:
@@ -427,7 +434,7 @@ class _BucketGrid:
             inside &= (t >= 0) & (t <= self.n)
             with np.errstate(invalid="ignore"):  # a row outside the box is reset below
                 cells = cells * self.n + np.minimum(t.astype(np.intp), self.n - 1)
-        cells[~inside] = self.n ** X.shape[1]
+        np.putmask(cells, ~inside, self.n ** X.shape[1])
         return cells
 
     def _err(self, region: _PieceRegion) -> np.ndarray:
@@ -494,27 +501,30 @@ class PieceTableEvaluator:
         """Yield (r, rows): the rows of X whose first region in occupancy order
         is r, in ascending order, and then (-1, rows) for the finite rows
         that no region holds. Each finite row is yielded once, and a row that
-        is not finite never."""
+        is not finite never. Rows move by ``take`` and ``compress``, which give
+        the bits of fancy indexing several times faster."""
         cells = self._buckets.cells(X)
         outside = cells == self._candidates.shape[1] - 1
         far = np.flatnonzero(outside)
-        far = far[np.all(np.isfinite(X[far]), axis=1)]
+        far = far.compress(np.all(np.isfinite(X.take(far, axis=0)), axis=1))
         for todo, tests in ((np.flatnonzero(~outside), self._reduced), (far, self._regions)):
             # each undecided row carries its bucket, and leaves with its region's hits
-            ct = cells[todo]
+            ct = cells.take(todo)
             seen = np.bincount(ct, minlength=self._candidates.shape[1]) > 0
             for r in np.flatnonzero(self._candidates[:, seen].any(axis=1)):
                 if todo.size == 0:
                     break
-                test = self._candidates[r][ct]
-                rows = todo[test]
+                test = self._candidates[r].take(ct)
+                rows = todo.compress(test)
                 if rows.size == 0:
                     continue
-                held = _region_mask(tests[r], X[rows])
+                held = _region_mask(tests[r], X.take(rows, axis=0))
                 if held.any():
-                    yield r, rows[held]
-                    test[test] = held
-                    todo, ct = todo[~test], ct[~test]
+                    yield r, rows.compress(held)
+                    # the rows that stay: those not tested, and those tested but not held
+                    np.place(test, test, held)
+                    np.logical_not(test, out=test)
+                    todo, ct = todo.compress(test), ct.compress(test)
             if todo.size:
                 yield -1, todo
 
@@ -522,7 +532,7 @@ class PieceTableEvaluator:
         """Occupancy-order index of the first region holding each finite row; -1 for none."""
         which = np.full(X.shape[0], -1, dtype=np.intp)
         for r, rows in self._hits(X):
-            which[rows] = r
+            which.put(rows, r)
         return which
 
     def eval_batch(self, X: np.ndarray, fallback: str = "nan") -> np.ndarray:
@@ -538,7 +548,7 @@ class PieceTableEvaluator:
         for r, rows in self._hits(X):
             if r >= 0:
                 piece = self._regions[r].piece
-                out[rows] = _products(X[rows], piece.K[:d_u]) + piece.k[:d_u]
+                out[rows] = _products(X.take(rows, axis=0), piece.K[:d_u]) + piece.k[:d_u]
             elif fallback == "qp":
                 for i in rows:
                     try:
@@ -587,7 +597,8 @@ def enumerate_nonsingular_sigmas(qp: CondensedQP):
 
 
 def max_gain_norm(qp: CondensedQP, sigmas) -> float:
-    """Gain-variation Lipschitz constant L = max over sigma of ||K_sigma||."""
+    """Gain-variation Lipschitz constant L = max over sigma of ||K_sigma||,
+    one sigma at a time (the reference for ``gain_constants``)."""
     best = 0.0
     for s in sigmas:
         piece = gain_for_sigma(qp, s, pseudo=True)
@@ -596,9 +607,23 @@ def max_gain_norm(qp: CondensedQP, sigmas) -> float:
 
 
 def c_constant(qp: CondensedQP, sigmas) -> float:
-    """max over sigma of ||2 H^{-1} G^T (G H^{-1} G^T)_sigma^+||."""
+    """max over sigma of ||2 H^{-1} G^T (G H^{-1} G^T)_sigma^+||, one sigma at
+    a time (the reference for ``gain_constants``)."""
     best = 0.0
     for s in sigmas:
         sig = s.sigma if isinstance(s, ActiveSet) else np.asarray(s, dtype=bool)
         best = max(best, float(np.linalg.norm(2.0 * qp.Hinv_GT @ padded_pinv(qp.gram, sig), 2)))
     return best
+
+
+def gain_constants(qp: CondensedQP, sigmas) -> tuple:
+    """(``max_gain_norm``, ``c_constant``) in one pass: each sigma's padded
+    pseudoinverse is formed once, and each constant is one batched norm."""
+    GHF_P = qp.G @ qp.Hinv_FT - qp.P
+    K, C = [], []
+    for s in sigmas:
+        Minv = padded_pinv(qp.gram, _active_set(qp, s).sigma)
+        K.append(np.linalg.solve(qp.H, qp.F.T - qp.G.T @ (Minv @ GHF_P)))
+        C.append(2.0 * qp.Hinv_GT @ Minv)
+    return tuple(float(np.linalg.norm(np.stack(M), 2, axis=(1, 2)).max()) if M else 0.0
+                 for M in (K, C))

@@ -55,3 +55,16 @@ def tolerance(qp, x0, *sols):
     # ||u - u*|| <= ||grad V_eta(u)|| / alpha1 for each solution
     tol = GRAD_TOL_FACTOR * (1.0 + float(np.linalg.norm(qp.F.T @ x0)))
     return sum(max(s.grad_norm, tol) for s in sols) / qp.alpha1
+
+
+def layouts(X):
+    """X, a C-contiguous float64 batch, as three other layouts a caller may
+    pass: a strided view, a Fortran-ordered copy and a read-only copy."""
+    wide = np.zeros((X.shape[0], 2 * X.shape[1]))
+    wide[:, ::2] = X
+    frozen = X.copy()
+    frozen.setflags(write=False)
+    out = [wide[:, ::2], np.asfortranarray(X), frozen]
+    assert not out[0].flags.c_contiguous and not out[2].flags.writeable
+    assert X.shape[0] < 2 or not out[1].flags.c_contiguous
+    return out

@@ -1,5 +1,6 @@
 """Barrier solver, closed-form Jacobian, convex combination, solution Hessian."""
 
+import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -8,11 +9,14 @@ import pytest
 
 from smoothmpc.barrier import (
     barrier_hessian,
+    barrier_hessian_batch,
     barrier_jacobian,
+    barrier_jacobian_batch,
     convex_combination,
     make_barrier_problem,
     recentering_vector,
     solve_barrier,
+    solve_barrier_batch,
     tensor_spectral_norm,
 )
 from smoothmpc.bounds import newton_log_barrier
@@ -427,6 +431,38 @@ def test_hessian_matches_richardson_oracle_near_feasibility_boundary(di_qp, di_r
     for eta in (1e-3, 1e-2, 0.1, 1.0):
         bp = make_barrier_problem(di_qp, eta=eta, outer_radius=di_radius)
         assert_hessian_matches_oracle(bp, x0, 1e-6)
+
+
+def test_hessian_batch_is_the_per_row_hessian_bit_for_bit():
+    """A stack's Jacobians and Hessians, from one factor per row, are the
+    one-row ``barrier_jacobian`` and ``barrier_hessian`` bit for bit: at
+    interior states, at states just inside the feasibility boundary and,
+    as NaN rows, at infeasible ones."""
+    rng = np.random.default_rng(5)
+    dims = set()
+    while dims != {2, 3}:
+        _, qp = random_system(rng)
+        directions = rng.standard_normal((3, qp.d_x))
+        edge = [boundary_state(qp, d / np.linalg.norm(d), inset)
+                for d, inset in zip(directions, (1e-3, 1e-5, 1e-7))]
+        X = np.vstack([rng.uniform(-0.5, 0.5, size=(5, qp.d_x)), edge, np.full((1, qp.d_x), 50.0)])
+        for eta in (1e-3, 1e-2, 1e-1, 1.0):
+            bp = make_barrier_problem(qp, eta, outer_radius=1.0)
+            batch = solve_barrier_batch(bp, X)
+            solved = [i for i, err in enumerate(batch.errors) if err is None]
+            assert set(range(5, 8)) <= set(solved) and 8 not in solved
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # ill-conditioned at the boundary
+                J, T = barrier_hessian_batch(bp, batch.phi)
+                assert np.array_equal(J, barrier_jacobian_batch(bp, batch.phi), equal_nan=True)
+                for i in range(X.shape[0]):
+                    if i not in solved:
+                        assert np.isnan(J[i]).all() and np.isnan(T[i]).all()
+                        continue
+                    sol = batch.row(i)
+                    assert np.array_equal(J[i], barrier_jacobian(bp, sol))
+                    assert np.array_equal(T[i], barrier_hessian(bp, sol))
+        dims.add(qp.d_x)
 
 
 def test_hessian_makes_no_barrier_solves(di_qp, di_radius, monkeypatch):

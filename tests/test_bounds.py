@@ -25,9 +25,17 @@ from smoothmpc.bounds import (
 )
 from smoothmpc.core import build_condensed, double_integrator_problem, feasible_radii
 from smoothmpc.errors import InfeasibleError
-from smoothmpc.explicit import c_constant, enumerate_nonsingular_sigmas, max_gain_norm, solve_qp
+from smoothmpc.explicit import (
+    c_constant,
+    discover_pieces,
+    enumerate_nonsingular_sigmas,
+    gain_constants,
+    max_gain_norm,
+    solve_qp,
+    state_grid,
+)
 from qp_oracles import primal_active_set_qp
-from systems import random_bounded_polytope
+from systems import random_bounded_polytope, random_system
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +202,23 @@ def test_hessian_upper_bound_dominates_clip(clip_qp):
         measured = tensor_spectral_norm(T)
         bound = hessian_upper_bound(bp, x0, L, C)
         assert measured <= bound * (1 + 1e-6)
+
+
+def test_gain_constants_are_the_per_sigma_references_bit_for_bit(clip_qp, di_qp):
+    rng = np.random.default_rng(3)
+    cases = [(clip_qp, enumerate_nonsingular_sigmas(clip_qp)),
+             (di_qp, [p.sigma for p in discover_pieces(
+                 di_qp, state_grid([-10, -10], [10, 10], 61)).pieces])]
+    while len(cases) < 8:
+        _, qp = random_system(rng)
+        grid = state_grid([-1.0] * qp.d_x, [1.0] * qp.d_x, 9)
+        cases.append((qp, [p.sigma.sigma for p in discover_pieces(qp, grid).pieces]))
+    for qp, sigmas in cases:
+        assert len(sigmas) > 1
+        assert gain_constants(qp, sigmas) == (max_gain_norm(qp, sigmas), c_constant(qp, sigmas))
+        assert qp.norms == (float(np.linalg.norm(qp.P, 2)), float(np.linalg.norm(qp.G, 2)))
+    assert gain_constants(clip_qp, []) == (0.0, 0.0) == (max_gain_norm(clip_qp, []),
+                                                        c_constant(clip_qp, []))
 
 
 def test_hessian_upper_bound_unconstrained_trivial(di_qp, di_R):

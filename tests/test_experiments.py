@@ -26,6 +26,7 @@ from smoothmpc.experiments import (
     PolygonProjector,
     Workbench,
     _pmap,
+    _SmoothnessTask,
     _sup_error,
     bounds_sweep,
     expert_smoothness,
@@ -39,7 +40,7 @@ from smoothmpc.mlp import TrainConfig
 from smoothmpc.qp import bounding_box, chebyshev_center, support
 from qp_oracles import support_loop_box
 from test_barrier import assert_exact_planar_norm
-from systems import random_system, tolerance
+from systems import layouts, random_system, tolerance
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +266,49 @@ def test_projection_is_the_broadcast_formula_bit_for_bit(bench, planar_polygons)
                 assert np.array_equal(poly(X), _project_broadcast(poly, X), equal_nan=True)
 
 
+def test_projector_gives_the_bits_of_a_contiguous_batch_for_any_layout(bench):
+    poly = bench.projector
+    rng = np.random.default_rng(14)
+    X = np.vstack([rng.uniform(-15.0, 15.0, size=(3000, 2)),
+                   [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]]])
+    inside, P = poly.inside(X), poly(X)
+    assert np.array_equal(poly.last_inside, inside)
+    assert 0 < inside.sum() < X.shape[0]
+    for Y in layouts(X):
+        assert np.array_equal(poly.inside(Y), inside)
+        assert np.array_equal(poly(Y), P, equal_nan=True)
+        assert np.array_equal(poly.last_inside, inside)
+
+
+def test_projector_on_an_empty_batch_and_one_wholly_outside(bench, planar_polygons):
+    rng = np.random.default_rng(15)
+    for V in [bench.projector.vertices] + [V for _, V, _ in planar_polygons]:
+        poly = PolygonProjector(V)
+        empty = np.zeros((0, 2))
+        assert poly.inside(empty).shape == (0,) and poly(empty).shape == (0, 2)
+        assert poly.last_inside.shape == (0,)
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=500)
+        reach = 2.0 * np.abs(V).max()
+        ring = reach * rng.uniform(1.0, 3.0, size=(500, 1)) * np.stack([np.cos(angle),
+                                                                         np.sin(angle)], axis=1)
+        bad = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf], [np.inf, np.inf]])
+        for X in (ring, bad, np.vstack([ring, bad])):
+            with np.errstate(invalid="ignore"):  # inf - inf in the bad rows
+                assert not poly.inside(X).any()
+                assert np.array_equal(poly(X), _project_broadcast(poly, X), equal_nan=True)
+            assert not poly.last_inside.any()
+
+
+def test_projected_fraction_is_read_from_the_sup_error_projection(bench):
+    task = _SmoothnessTask(bench, n_samples=40, seed=3)
+    row = task(("randomized", 0.8))
+    expert = bench.randomized_expert(0.8, n_samples=40, seed=3)
+    samples = expert.samples(bench.sample_initial_states(400, seed=3 + 17))
+    assert row["projected_fraction"] == float(1.0 - bench.projector.inside(samples).mean())
+    assert 0.0 < row["projected_fraction"] < 1.0
+    assert np.isnan(task(("barrier", 1.0))["projected_fraction"])
+
+
 def test_sample_initial_states_deterministic_and_feasible(bench):
     a = bench.sample_initial_states(25, seed=7)
     b = bench.sample_initial_states(25, seed=7)
@@ -322,8 +366,8 @@ def test_bounding_box_is_the_support_loop_on_sampled_states(bench):
 
 def test_tensor_norm_is_exact_on_the_bounds_sweep_hessians(bench, monkeypatch):
     tensors = []
-    monkeypatch.setattr(smoothmpc.experiments, "barrier_hessian",
-                        lambda bp, sol: tensors.append(barrier_hessian(bp, sol)) or tensors[-1])
+    monkeypatch.setattr(smoothmpc.experiments, "tensor_spectral_norm",
+                        lambda T: tensors.append(T) or tensor_spectral_norm(T))
     bounds_sweep(bench, default_config()["bounds"]["eta_grid"], n_states=16, seed=0)
     assert len(tensors) == 80
     for T in tensors:

@@ -34,7 +34,7 @@ from smoothmpc.explicit import (
 )
 from smoothmpc.qp import raw_solve_qp
 from qp_oracles import dual_ascent_qp, primal_active_set_qp
-from systems import random_system
+from systems import layouts, random_system
 
 
 def kkt_ok(qp, x0, sol, tol=1e-8):
@@ -413,6 +413,48 @@ def test_non_finite_states_are_never_tested_or_solved(di_table, monkeypatch):
         J = table.jacobian_batch(X)
         assert np.isnan(J[:4]).all() and np.isfinite(J[4]).all()
     assert all(np.isfinite(Y).all() for Y in tested)
+
+
+def test_every_layout_gives_the_bits_of_a_contiguous_batch(di_table):
+    grid, table = di_table
+    X = np.ascontiguousarray(probe_states(np.random.default_rng(47), table, grid, 200))
+    finite = X[np.all(np.isfinite(X), axis=1)][::4]  # the QP rejects non-finite states
+    which, U, J = table._locate(X), table.eval_batch(X), table.jacobian_batch(X)
+    U_qp = table.eval_batch(finite, fallback="qp")
+    assert (which >= 0).any() and (which < 0).any()
+    for Y in layouts(X):
+        assert np.array_equal(table._locate(Y), which)
+        assert np.array_equal(table.eval_batch(Y), U, equal_nan=True)
+        assert np.array_equal(table.jacobian_batch(Y), J, equal_nan=True)
+    for Y in layouts(finite):
+        assert np.array_equal(table.eval_batch(Y, fallback="qp"), U_qp, equal_nan=True)
+
+
+def test_an_empty_batch_gives_empty_answers(di_table):
+    table = di_table[1]
+    X = np.zeros((0, 2))
+    assert table._locate(X).shape == (0,)
+    for fallback in ("nan", "qp"):
+        assert table.eval_batch(X, fallback=fallback).shape == (0, 1)
+    assert table.jacobian_batch(X).shape == (0, 1, 2)
+
+
+def test_a_batch_wholly_outside_the_box_or_not_finite_matches_scan(di_table):
+    table = di_table[1]
+    rng = np.random.default_rng(53)
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=300)
+    far = rng.uniform(10.5, 40.0, size=(300, 1)) * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    far = far[np.abs(far).max(axis=1) > 10.0]  # outside the box [-10, 10]^2
+    bad = np.array([[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0], [np.nan, np.nan]])
+    for X in (far, bad, np.vstack([bad, far])):
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(table.eval_batch(X), _scan_oracle(table, X, "nan"),
+                                  equal_nan=True)
+            assert [table._locate(X)[i] for i in range(0, X.shape[0], 7)] == \
+                [_scan_index(table, x) for x in X[::7]]
+    assert np.all(table._locate(bad) == -1)
+    assert np.isnan(table.eval_batch(bad, fallback="qp")).all()
+    assert np.isnan(table.jacobian_batch(bad)).all()
 
 
 def test_lookup_default_is_nan_and_call_solves_the_qp(di_qp, di_table):
