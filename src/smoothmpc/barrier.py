@@ -56,6 +56,9 @@ __all__ = [
 
 GRAD_TOL_FACTOR = 1e-10
 MAX_NEWTON_ITERS = 200
+# a row whose best gradient norm meets its acceptance target leaves Newton
+# once this many gradient evaluations in a row have not lowered it
+STALL_EVALS = 3
 POWER_RESTARTS = 8
 POWER_ITERS = 200
 LINESEARCH_ACCEPT = 0.25
@@ -246,7 +249,7 @@ def _line_search(u, p, phi, dec2, H, f, eta, GT, b):
     return new_u, new_phi, failed if failed.any() else None
 
 
-def _newton(u, phi, H, f, eta, G, GT, b, tol, max_iter, record=None):
+def _newton(u, phi, H, f, eta, G, GT, b, tol, max_iter, record=None, accept=None):
     """Two-phase Newton on each row of a stack of log-barrier objectives
 
         V_i(u) = 0.5 u^T H u - f_i^T u - eta sum_j log (b_i - G u)_j,
@@ -255,7 +258,9 @@ def _newton(u, phi, H, f, eta, G, GT, b, tol, max_iter, record=None):
     Armijo-damped far out, pure steps near the optimum (``_line_search``).
     A row leaves the loop when its gradient norm reaches tol_i, when its
     squared decrement is not positive, when its line search fails, or
-    after max_iter iterations; each gradient evaluation, including the
+    after max_iter iterations; with ``accept`` given, also when its best
+    gradient norm is at most accept_i and STALL_EVALS gradient evaluations
+    in a row have not lowered it. Each gradient evaluation, including the
     one after the last step, updates the row's best iterate in place.
     Returns (u, gradient norms, iterations): each row's first iterate of
     least gradient norm, that norm, and the iterations the row ran, a
@@ -266,6 +271,7 @@ def _newton(u, phi, H, f, eta, G, GT, b, tol, max_iter, record=None):
     k = u.shape[0]
     best_u = u.copy()
     best_g = np.full(k, np.inf)
+    stale = np.zeros(k, dtype=int)  # gradient evaluations since the best one
     iters = np.full(k, max_iter)
     live = np.arange(k)
     for it in range(1, max_iter + 2):
@@ -275,9 +281,12 @@ def _newton(u, phi, H, f, eta, G, GT, b, tol, max_iter, record=None):
         better = gnorm < best_g[live]
         best_u[live[better]] = u[better]
         best_g[live[better]] = gnorm[better]
+        stale[live] = np.where(better, 0, stale[live] + 1)
         if it > max_iter:
             break
         stop = gnorm <= tol
+        if accept is not None:
+            stop |= (stale[live] >= STALL_EVALS) & (best_g[live] <= accept[live])
         if np.count_nonzero(stop):
             iters[live[stop]] = it - 1
             keep = ~stop
@@ -401,7 +410,9 @@ def solve_barrier_batch(bp: BarrierProblem, X: np.ndarray) -> BarrierBatch:
     and stalls. The other rows run ``_phase_one`` together, and rows with
     no strict interior are marked in ``errors``: their Farkas certificate
     runs its LP only when read. Then one Newton (``_newton``) runs over
-    every solved row. Raises NewtonConvergenceError for the first row that
+    every solved row, aiming at 1e-12 (1 + |F^T x0|); a row that meets the
+    tolerance below but stalls short of the aim leaves early (its
+    ``accept``). Raises NewtonConvergenceError for the first row that
     does not reach the gradient tolerance 1e-10 (1 + |F^T x0|), or the
     cancellation floor of its residuals.
     """
@@ -445,7 +456,7 @@ def solve_barrier_batch(bp: BarrierProblem, X: np.ndarray) -> BarrierBatch:
         u0, b0 = u[rows], ba[rows]
         u[rows], gnorm[rows], iters[rows] = _newton(
             u0, b0 - u0 @ GT, qp.H, f[rows] - eta * bp.d, eta, G, GT, b0,
-            np.minimum(tol[rows], 1e-12 * g_scale[rows]), MAX_NEWTON_ITERS, steps)
+            np.minimum(tol[rows], 1e-12 * g_scale[rows]), MAX_NEWTON_ITERS, steps, tol[rows])
     for i in np.flatnonzero(gnorm > tol):
         # phi near zero is computed as a difference of O(b) quantities, so
         # the gradient cannot be evaluated below this cancellation floor;

@@ -116,7 +116,6 @@ class PolygonProjector:
         self.vertices = np.asarray(vertices, dtype=float)
         self.edges = np.roll(self.vertices, -1, axis=0) - self.vertices
         self._edge_norm2 = np.einsum("ij,ij->i", self.edges, self.edges)
-        self.last_inside = None
 
     def inside(self, X: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Rows X whose cross product e0 (x1 - v1) - e1 (x0 - v0) with every
@@ -137,12 +136,11 @@ class PolygonProjector:
         A row outside takes, over the edges in order, the first of the
         least distances to its clamped projections v + t e, t = ((x - v) . e
         / |e|^2) clipped to [0, 1], one edge at a time; a NaN distance, once
-        met, is kept. ``last_inside`` keeps the call's ``inside`` mask.
+        met, is kept.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = X.copy()
-        self.last_inside = self.inside(X)
-        todo = np.flatnonzero(~self.last_inside)
+        todo = np.flatnonzero(~self.inside(X))
         if todo.size == 0:
             return out
         p0, p1 = X[:, 0].take(todo), X[:, 1].take(todo)
@@ -243,29 +241,35 @@ class Workbench:
 
 def slice_smoothness(jacobians, anchor: np.ndarray, direction: np.ndarray,
                      span: float, coarse_h: float, min_h: float) -> dict:
-    """Max Jacobian norm and Jacobian variation along one state-space line.
+    """Max Jacobian norm and Jacobian variation along state-space lines.
 
-    Scans coarsely, then repeatedly refines windows around the
-    REFINE_PEAKS largest variation peaks (quartering the step) until the
-    step reaches ``min_h`` or the estimate stabilizes; this resolves
-    features much narrower than the coarse grid without a global fine
-    grid. ``jacobians(X)`` gives the Jacobians at the rows of X, shape
+    ``anchor`` and ``direction`` give one line (shape (d,)) or a stack of S
+    lines (shape (S, d)), scanned in lockstep. Each line is scanned
+    coarsely, then its windows around its REFINE_PEAKS largest variation
+    peaks are refined repeatedly (quartering the step) until the step
+    reaches ``min_h`` or its estimate stabilizes; this resolves features
+    much narrower than the coarse grid without a global fine grid.
+    ``jacobians(X)`` gives the Jacobians at the rows of X, shape
     (N, d_u, d_x), with NaN where a state has none (outside the feasible
-    set); such points are skipped. The coarse scan is one call, and so are
-    the windows of each refinement level together.
+    set); such points are skipped. The coarse scans of all lines are one
+    call, and so are the windows of each refinement level, over the lines
+    still refining. L0 is the largest norm over every scan and L1 the
+    largest of the lines' variation estimates.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    anchor = np.atleast_2d(np.asarray(anchor, dtype=float))
+    direction = np.atleast_2d(np.asarray(direction, dtype=float))
+    direction = direction / np.array([np.linalg.norm(v) for v in direction])[:, None]
 
     def scan(windows):
-        """Largest Jacobian norm over the windows, and each window's
-        (midpoint, variation ratio) between neighbours that both have one."""
-        ss = np.concatenate(windows)
-        J = np.asarray(jacobians(anchor + ss[:, None] * direction), dtype=float)
+        """Largest Jacobian norm over the windows, (line, offsets) each, and
+        each window's (midpoint, variation ratio) between neighbours that
+        both have one."""
+        ss = np.concatenate([s for _, s in windows])
+        J = np.asarray(jacobians(np.concatenate([anchor[k] + s[:, None] * direction[k]
+                                                 for k, s in windows])), dtype=float)
         ok = ~np.isnan(J).any(axis=(1, 2))
         L0_loc = float(np.linalg.norm(J[ok], 2, axis=(1, 2)).max()) if ok.any() else 0.0
-        ends = np.cumsum([len(w) for w in windows])
+        ends = np.cumsum([len(s) for _, s in windows])
         pair = ok[:-1] & ok[1:]
         pair[ends[:-1] - 1] = False  # no pair across two windows
         i = np.flatnonzero(pair)
@@ -274,33 +278,34 @@ def slice_smoothness(jacobians, anchor: np.ndarray, direction: np.ndarray,
             ratios = np.linalg.norm(J[i + 1] - J[i], 2, axis=(1, 2)) / (ss[i + 1] - ss[i])
             for w, j, ratio in zip(np.searchsorted(ends, i, side="right"), i, ratios):
                 cands[w].append((0.5 * (ss[j] + ss[j + 1]), float(ratio)))
+        for cand in cands:
+            cand.sort(key=lambda t: -t[1])
         return L0_loc, cands
 
-    L0, (cand,) = scan([np.arange(-span, span + coarse_h / 2, coarse_h)])
-    cand.sort(key=lambda t: -t[1])
-    L1 = cand[0][1] if cand else 0.0
-    centers = [c for c, _ in cand[:REFINE_PEAKS]]
+    coarse = np.arange(-span, span + coarse_h / 2, coarse_h)
+    L0, cands = scan([(k, coarse) for k in range(anchor.shape[0])])
+    L1 = [cand[0][1] if cand else 0.0 for cand in cands]
+    centers = [[c for c, _ in cand[:REFINE_PEAKS]] for cand in cands]
+    live = [k for k, c in enumerate(centers) if c]
 
     h = coarse_h
-    while h / 4.0 >= min_h and centers:
+    while h / 4.0 >= min_h and live:
         h_new = h / 4.0
-        L0_loc, cands = scan([np.arange(c - 2.5 * h, c + 2.5 * h + h_new / 2, h_new)
-                              for c in centers])
+        windows = [(k, np.arange(c - 2.5 * h, c + 2.5 * h + h_new / 2, h_new))
+                   for k in live for c in centers[k]]
+        L0_loc, cands = scan(windows)
         L0 = max(L0, L0_loc)
-        improved = 0.0
-        new_centers = []
-        for cand_loc in cands:
-            if cand_loc:
-                cand_loc.sort(key=lambda t: -t[1])
-                improved = max(improved, cand_loc[0][1])
-                new_centers.append(cand_loc[0][0])
-        if improved <= L1 * 1.05 and h <= coarse_h / 16.0:
-            L1 = max(L1, improved)
-            break
-        L1 = max(L1, improved)
-        centers = new_centers
+        peaks = [(k, cand[0]) for (k, _), cand in zip(windows, cands) if cand]
+        refining = []
+        for k in live:
+            centers[k] = [c for j, (c, _) in peaks if j == k]
+            improved = max([r for j, (_, r) in peaks if j == k], default=0.0)
+            if centers[k] and not (improved <= L1[k] * 1.05 and h <= coarse_h / 16.0):
+                refining.append(k)
+            L1[k] = max(L1[k], improved)
+        live = refining
         h = h_new
-    return {"L0": L0, "L1": L1}
+    return {"L0": L0, "L1": max(L1)}
 
 
 # (anchor, direction) of each probe slice, scanned over +-SLICE_SPAN
@@ -315,12 +320,9 @@ def expert_smoothness(jacobians, feature_scale: float) -> dict:
     ``jacobians`` is a batch function, as in ``slice_smoothness``."""
     coarse_h = 0.25
     min_h = float(np.clip(feature_scale / 4.0, 1e-4, coarse_h))
-    L0 = L1 = 0.0
-    for anchor, direction in PROBE_SLICES:
-        out = slice_smoothness(jacobians, anchor, direction, SLICE_SPAN, coarse_h, min_h)
-        L0 = max(L0, out["L0"])
-        L1 = max(L1, out["L1"])
-    return {"L0_max": L0, "L1_max": L1}
+    anchors, directions = (np.array(a) for a in zip(*PROBE_SLICES))
+    out = slice_smoothness(jacobians, anchors, directions, SLICE_SPAN, coarse_h, min_h)
+    return {"L0_max": out["L0"], "L1_max": out["L1"]}
 
 
 def _sup_error(policy, reference, pts: np.ndarray) -> float:
@@ -402,9 +404,8 @@ class _SmoothnessTask:
                                     feature_scale=param)
             hess = float("nan")
         sup_error = _sup_error(expert, bench.table, pts)
-        # the share of the sup-error samples outside the polygon, from their one projection
-        projected = (float(1.0 - bench.projector.last_inside.mean()) if kind == "randomized"
-                     else float("nan"))
+        # the share of the sup-error samples that their one projection moved
+        projected = expert.projected_share if kind == "randomized" else float("nan")
         return {"kind": kind, "param": param, "L0_max": met["L0_max"],
                 "L1_max": met["L1_max"], "sup_error": sup_error,
                 "hessian_norm": hess, "projected_fraction": projected}

@@ -28,6 +28,8 @@ __all__ = [
 DISTRIBUTIONS = ("uniform-ball", "uniform-box", "gaussian")
 # a smoothed evaluation raises when more than this share of its samples fail
 MAX_FAILED_FRACTION = 0.5
+# a smoothed batch is evaluated in blocks of whole states, at most this many samples each
+SAMPLE_BLOCK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -74,13 +76,15 @@ class RandomizedPolicy:
     The base policy is a batch evaluator: ``base.eval_batch(X)`` gives one
     row per state, NaN where it has no value. Samples landing outside the
     feasible state set are Euclidean-projected back by ``projector``
-    before evaluation.
+    before evaluation; ``projected_share`` keeps the share of the last
+    batch's samples that the projection moved.
     """
 
     def __init__(self, base_policy, cfg: SmoothingConfig, projector=None):
         self.base = base_policy
         self.cfg = cfg
         self.projector = projector
+        self.projected_share = float("nan")
 
     @staticmethod
     @functools.lru_cache(maxsize=16)
@@ -107,21 +111,35 @@ class RandomizedPolicy:
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Smoothed controls for a batch of states sharing one set of draws.
 
-        Raises SmoothingFailureError if more than half the samples of some
-        state fail to evaluate; otherwise each state's failed samples are
-        left out of its mean.
+        Blocks of max(1, SAMPLE_BLOCK // n_samples) states are drawn,
+        projected, evaluated and averaged one at a time, so memory does not
+        grow with the batch. Raises SmoothingFailureError if more than half
+        the samples of some state fail, naming the first state of the
+        largest failed share; otherwise failed samples are left out of
+        each state's mean, and a block with a failing state takes none.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        pts = self.samples(X)
-        if self.projector is not None:
-            pts = self.projector(pts)
-        vals = self.base.eval_batch(pts).reshape(X.shape[0], self.cfg.n_samples, -1)
-        failed = np.any(np.isnan(vals), axis=2).mean(axis=1)
-        worst = int(np.argmax(failed))
-        if failed[worst] > MAX_FAILED_FRACTION:
+        n = self.cfg.n_samples
+        per = max(1, SAMPLE_BLOCK // n)
+        failed, means, moved = [], [], 0
+        for lo in range(0, max(X.shape[0], 1), per):  # one empty block for no states
+            pts = raw = self.samples(X[lo:lo + per])
+            if self.projector is not None:
+                pts = self.projector(raw)
+                moved += int(np.count_nonzero(np.any(pts != raw, axis=1)))
+            vals = self.base.eval_batch(pts)
+            vals = vals.reshape(-1, n, vals.shape[1])
+            failed.append(np.any(np.isnan(vals), axis=2).mean(axis=1))
+            if failed[-1].max(initial=0.0) <= MAX_FAILED_FRACTION:
+                means.append(np.nanmean(vals, axis=1))
+        if len(means) < len(failed):
+            failed = np.concatenate(failed)
+            worst = int(np.argmax(failed))
             raise SmoothingFailureError(
                 f"{failed[worst]:.0%} of smoothing samples failed to evaluate at state {worst}")
-        return np.nanmean(vals, axis=1)
+        total = X.shape[0] * n  # one minus the unmoved share, as a mask's mean gives it
+        self.projected_share = 1.0 - (total - moved) / total if total else 0.0
+        return np.concatenate(means)
 
     def jacobian_batch(self, X: np.ndarray, h: float = 1e-4) -> np.ndarray:
         """Central differences at the rows of X, shape (N, d_u, d_x), with the

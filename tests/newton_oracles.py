@@ -5,15 +5,18 @@ This is the engine it replaced: it logs (rows, u, gradient norms) at every
 iteration and, when a row leaves other than by convergence, searches the
 log for the row's first iterate of least gradient norm; after the last
 iteration it evaluates the gradient once more. Both must return the same
-u, gradient norms, iteration counts and ``record`` bit for bit.
+u, gradient norms, iteration counts and ``record`` bit for bit, with the
+stall exit (``accept``) too, which the logged engine decides from each
+row's logged gradient norms.
 """
 
 import numpy as np
 
-from smoothmpc.barrier import _line_search, _newton_matrices, _solve_stack
+from smoothmpc.barrier import STALL_EVALS, _line_search, _newton_matrices, _solve_stack
 
 
-def newton_with_iterate_log(u, phi, H, f, eta, G, GT, b, tol, max_iter, record=None):
+def newton_with_iterate_log(u, phi, H, f, eta, G, GT, b, tol, max_iter, record=None,
+                            accept=None):
     """Two-phase Newton on each row of a stack of log-barrier objectives
 
         V_i(u) = 0.5 u^T H u - f_i^T u - eta sum_j log (b_i - G u)_j,
@@ -22,7 +25,9 @@ def newton_with_iterate_log(u, phi, H, f, eta, G, GT, b, tol, max_iter, record=N
     Armijo-damped far out, pure steps near the optimum (``_line_search``).
     A row leaves the loop when its gradient norm reaches tol_i, or with the
     best iterate it saw when its squared decrement is not positive, its
-    line search fails or max_iter iterations pass. Returns (u, gradient
+    line search fails or max_iter iterations pass; with ``accept``, also
+    when its least logged gradient norm is at most accept_i and came
+    STALL_EVALS or more evaluations before its last. Returns (u, gradient
     norms, iterations); ``record``, a list, receives each iteration's
     (rows, squared decrements). GT is G^T, contiguous. np.count_nonzero
     tests the masks: it is the cheapest test.
@@ -33,6 +38,15 @@ def newton_with_iterate_log(u, phi, H, f, eta, G, GT, b, tol, max_iter, record=N
     iters = np.full(k, max_iter)
     live = np.arange(k)
     seen = []  # (rows, u, gradient norms) of every iteration
+    norms = [[] for _ in range(k)]  # each row's gradient norms, in order
+
+    def stalled():
+        out = np.zeros(live.size, dtype=bool)
+        for j, i in enumerate(live):
+            h = np.array(norms[i])
+            first = int(np.argmin(np.where(np.isnan(h), np.inf, h)))
+            out[j] = h[first] <= accept[i] and h.size - 1 - first >= STALL_EVALS
+        return out
 
     def leave(stop, count, best):
         i = live[stop]
@@ -54,9 +68,13 @@ def newton_with_iterate_log(u, phi, H, f, eta, G, GT, b, tol, max_iter, record=N
         g = u @ H + eta * (r @ G) - f
         gnorm = np.sqrt(np.vecdot(g, g))
         seen.append((live, u, gnorm))
+        for i, gn in zip(live, gnorm):
+            norms[i].append(gn)
         stop = gnorm <= tol
+        if accept is not None:
+            stop |= stalled()
         if np.count_nonzero(stop):
-            keep = leave(stop, it - 1, False)
+            keep = leave(stop, it - 1, accept is not None)
             live, u, phi, f, b, tol, r, g = (a[keep] for a in (live, u, phi, f, b, tol, r, g))
             if not live.size:
                 return out_u, out_g, iters

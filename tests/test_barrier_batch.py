@@ -201,3 +201,35 @@ def test_newton_keeps_the_iterate_the_logged_engine_returned(monkeypatch):
             for name, c in counts.items():
                 exits[name] += c
     assert min(exits.values()) > 0, exits
+
+
+def test_stall_exit_matches_the_logged_engine_and_the_capped_iterate():
+    # Rows that ask for an exact zero gradient never converge; with the
+    # acceptance target 1e-10 (1 + |f|) a row leaves once its best gradient
+    # norm meets the target and STALL_EVALS evaluations have not lowered
+    # it. The logged engine decides that exit from its log, and the
+    # capped engine runs every such row on: a stalled row's iterate is
+    # within (|g| + |g_cap|) / lambda_min(H) of the capped one, as V is
+    # lambda_min(H)-strongly convex.
+    stalled = saved = 0
+    for seed in range(30):
+        args = _newton_stack(np.random.default_rng(seed))
+        H, f = args[2], args[3]
+        accept = 1e-10 * (1.0 + np.linalg.norm(f, axis=1))
+        got, want = [], []
+        u, g, iters = _newton(*args, 200, got, accept)
+        u_ref, g_ref, iters_ref = newton_with_iterate_log(*args, 200, want, accept)
+        assert np.array_equal(u, u_ref) and np.array_equal(g, g_ref)
+        assert np.array_equal(iters, iters_ref)
+        assert all(np.array_equal(r, r_ref) and np.array_equal(d, d_ref)
+                   for (r, d), (r_ref, d_ref) in zip(got, want))
+        u_cap, g_cap, iters_cap = _newton(*args, 200)
+        assert np.array_equal(_newton(*args, 200, None, np.full(iters.size, -1.0))[2], iters_cap)
+        early = iters < iters_cap
+        assert np.all(g[early] <= accept[early])
+        mu = np.linalg.eigvalsh(H)[0]
+        gap = np.linalg.norm(u - u_cap, axis=1)
+        assert np.all(gap[early] <= (g + g_cap)[early] / mu * (1.0 + 1e-9))
+        stalled += np.count_nonzero(early)
+        saved += int((iters_cap - iters)[early].sum())
+    assert stalled >= 10 and saved >= 1000, (stalled, saved)

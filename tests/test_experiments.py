@@ -10,6 +10,7 @@ from smoothmpc.barrier import (
     GRAD_TOL_FACTOR,
     barrier_hessian,
     barrier_jacobian,
+    make_barrier_problem,
     solve_barrier,
     tensor_spectral_norm,
 )
@@ -23,6 +24,7 @@ from smoothmpc.core import (
 )
 from smoothmpc.errors import InfeasibleError
 from smoothmpc.experiments import (
+    BarrierExpert,
     PolygonProjector,
     Workbench,
     _pmap,
@@ -35,10 +37,12 @@ from smoothmpc.experiments import (
     matched_levels,
     slice_smoothness,
 )
-from smoothmpc.explicit import solve_qp
+from smoothmpc.explicit import PieceTableEvaluator, discover_pieces, solve_qp, state_grid
 from smoothmpc.mlp import TrainConfig
 from smoothmpc.qp import bounding_box, chebyshev_center, support
+from smoothmpc.smoothing import RandomizedPolicy, SmoothingConfig
 from qp_oracles import support_loop_box
+from smoothness_oracles import probe_smoothness_one_by_one, slices_one_by_one
 from test_barrier import assert_exact_planar_norm
 from systems import layouts, random_system, tolerance
 
@@ -272,12 +276,10 @@ def test_projector_gives_the_bits_of_a_contiguous_batch_for_any_layout(bench):
     X = np.vstack([rng.uniform(-15.0, 15.0, size=(3000, 2)),
                    [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]]])
     inside, P = poly.inside(X), poly(X)
-    assert np.array_equal(poly.last_inside, inside)
     assert 0 < inside.sum() < X.shape[0]
     for Y in layouts(X):
         assert np.array_equal(poly.inside(Y), inside)
         assert np.array_equal(poly(Y), P, equal_nan=True)
-        assert np.array_equal(poly.last_inside, inside)
 
 
 def test_projector_on_an_empty_batch_and_one_wholly_outside(bench, planar_polygons):
@@ -286,7 +288,6 @@ def test_projector_on_an_empty_batch_and_one_wholly_outside(bench, planar_polygo
         poly = PolygonProjector(V)
         empty = np.zeros((0, 2))
         assert poly.inside(empty).shape == (0,) and poly(empty).shape == (0, 2)
-        assert poly.last_inside.shape == (0,)
         angle = rng.uniform(0.0, 2.0 * np.pi, size=500)
         reach = 2.0 * np.abs(V).max()
         ring = reach * rng.uniform(1.0, 3.0, size=(500, 1)) * np.stack([np.cos(angle),
@@ -296,7 +297,6 @@ def test_projector_on_an_empty_batch_and_one_wholly_outside(bench, planar_polygo
             with np.errstate(invalid="ignore"):  # inf - inf in the bad rows
                 assert not poly.inside(X).any()
                 assert np.array_equal(poly(X), _project_broadcast(poly, X), equal_nan=True)
-            assert not poly.last_inside.any()
 
 
 def test_projected_fraction_is_read_from_the_sup_error_projection(bench):
@@ -524,3 +524,72 @@ def test_small_smoothing_approaches_explicit_metrics(bench):
     r_exp = bench.randomized_expert(1e-3, n_samples=400, seed=0)
     met_r = expert_smoothness(lambda X: r_exp.jacobian_batch(X, h=1e-4), feature_scale=0.02)
     assert abs(met_r["L0_max"] - explicit_met["L0_max"]) <= 0.05 * explicit_met["L0_max"]
+
+
+def interior_slices(rng, V, count=3):
+    """``count`` random lines through 0.3 V and one span that keeps every
+    line inside 0.7 V, as (anchors, unit directions, span)."""
+    anchors = 0.3 * rng.dirichlet(np.ones(len(V)), size=count) @ V
+    directions = rng.standard_normal((count, 2))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    inner = PolygonProjector(0.7 * V)
+    t = np.linspace(0.0, np.abs(V).max(), 201)[:, None]
+    span = min(t[np.argmin(inner.inside(a + t * d) & inner.inside(a - t * d)), 0]
+               for a, d in zip(anchors, directions))
+    return anchors, directions, float(span)
+
+
+def relative_gap(a, b):
+    return max(abs(a[k] - b[k]) / abs(b[k]) for k in b)
+
+
+def test_lockstep_slices_equal_the_one_by_one_scans_on_the_double_integrator(bench):
+    # the table and the randomized expert answer a state the same bits in
+    # any batch, so merging the probe slices' scans changes no bit; the
+    # barrier's stacked Newton may round otherwise in another stack
+    for scale in (1.0, 0.01, 0.002):
+        assert (expert_smoothness(bench.table.jacobian_batch, feature_scale=scale)
+                == probe_smoothness_one_by_one(bench.table.jacobian_batch, scale))
+    for sigma in (0.1, 1.0):
+        expert = bench.randomized_expert(sigma, n_samples=100, seed=2)
+
+        def jac(X):
+            return expert.jacobian_batch(X, h=sigma / 20.0)
+
+        assert expert_smoothness(jac, sigma) == probe_smoothness_one_by_one(jac, sigma)
+    jac = bench.barrier_expert(0.01).jacobian_batch
+    assert relative_gap(expert_smoothness(jac, 0.01),
+                        probe_smoothness_one_by_one(jac, 0.01)) <= 1e-9
+
+
+def test_lockstep_slices_equal_the_one_by_one_scans_on_random_planar_systems():
+    for i, qp in enumerate(planar_systems(4)):
+        V = feasible_polygon(qp)
+        table = PieceTableEvaluator(qp, discover_pieces(qp, state_grid(V.min(axis=0),
+                                                                       V.max(axis=0), 61)))
+        anchors, directions, span = interior_slices(np.random.default_rng(i), V)
+        scan = (anchors, directions, span, span / 10.0, span / 1000.0)
+        smoothed = RandomizedPolicy(table, SmoothingConfig(sigma=0.05 * span, n_samples=100,
+                                                           seed=i),
+                                    projector=PolygonProjector(V))
+        for jac in (table.jacobian_batch, lambda X: smoothed.jacobian_batch(X, h=5e-3 * span)):
+            assert slice_smoothness(jac, *scan) == slices_one_by_one(jac, *scan)
+        jac = BarrierExpert(make_barrier_problem(qp, 0.01)).jacobian_batch
+        assert relative_gap(slice_smoothness(jac, *scan), slices_one_by_one(jac, *scan)) <= 1e-9
+
+
+def test_lockstep_slices_make_one_jacobians_call_per_level(bench):
+    # at eta = 0.01 each probe slice refines three times below its coarse
+    # scan: 4 calls in lockstep, where the slices one by one made 12
+    expert = bench.barrier_expert(0.01)
+    sizes = []
+
+    def counted(X):
+        sizes.append(len(X))
+        return expert.jacobian_batch(X)
+
+    expert_smoothness(counted, feature_scale=0.01)
+    lockstep = sizes[:]
+    probe_smoothness_one_by_one(counted, 0.01)
+    assert len(lockstep) == 4 and len(sizes) - 4 == 12
+    assert sum(lockstep) == sum(sizes[4:])

@@ -1,5 +1,7 @@
 """Randomized smoothing estimator, projection, and the tradeoff audit."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,94 @@ def test_tradeoff_audit_barrier_smoothed_clip():
         g = np.array([solve_barrier(bp, np.array([x])).u_eta[0] for x in xs])
         out = tradeoff_audit(xs, f, g, slopes=(K0, 0.0))
         assert out["satisfied"], out
+
+
+def whole_batch(policy, X):
+    """``RandomizedPolicy.eval_batch`` as one block: every sample of the
+    batch drawn, projected and evaluated at once. Returns (controls,
+    projected share), the share as one minus the mean of an unmoved mask."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    raw = policy.samples(X)
+    pts = raw if policy.projector is None else policy.projector(raw)
+    vals = policy.base.eval_batch(pts).reshape(X.shape[0], policy.cfg.n_samples, -1)
+    failed = np.any(np.isnan(vals), axis=2).mean(axis=1)
+    worst = int(np.argmax(failed))
+    if failed[worst] > smoothing.MAX_FAILED_FRACTION:
+        raise SmoothingFailureError(
+            f"{failed[worst]:.0%} of smoothing samples failed to evaluate at state {worst}")
+    return np.nanmean(vals, axis=1), float(1.0 - np.all(pts == raw, axis=1).mean())
+
+
+class Rotating:
+    """Batch policy with two outputs that fails (NaN) on a seventh of the
+    plane, in stripes; each row's value depends on that row alone."""
+
+    def eval_batch(self, X):
+        out = np.stack([np.sin(X[:, 0]) + X[:, 1], np.clip(X[:, 0] * X[:, 1], -1.0, 1.0)], axis=1)
+        out[np.floor(10.0 * X[:, 0]) % 7 == 3] = np.nan
+        return out
+
+
+@pytest.fixture(scope="module")
+def di_table(di_qp):
+    from smoothmpc.experiments import PolygonProjector, feasible_polygon
+    from smoothmpc.explicit import PieceTableEvaluator, discover_pieces, state_grid
+
+    table = PieceTableEvaluator(di_qp, discover_pieces(di_qp, state_grid([-10, -10], [10, 10], 41)))
+    return table, PolygonProjector(feasible_polygon(di_qp))
+
+
+@pytest.mark.parametrize("block, n_samples, n_states", [
+    (1000, 300, 10),  # 3 states a block, the last block holds one
+    (100, 300, 4),  # more samples than a block: one state a block
+    (1000, 300, 1),
+])
+def test_blocks_give_the_bits_of_one_whole_batch(monkeypatch, di_table, block, n_samples,
+                                                 n_states):
+    table, polygon = di_table
+    rng = np.random.default_rng(block + n_states)
+    X = rng.uniform(-6.0, 6.0, size=(n_states, 2))
+    cases = [(Rotating(), None), (Rotating(), lambda P: np.clip(P, -4.0, 4.0)),
+             (table, polygon)]
+    monkeypatch.setattr(smoothing, "SAMPLE_BLOCK", block)
+    for base, projector in cases:
+        cfg = SmoothingConfig(sigma=1.5, n_samples=n_samples, seed=block)
+        policy = RandomizedPolicy(base, cfg, projector=projector)
+        u, share = whole_batch(policy, X)
+        assert np.array_equal(policy.eval_batch(X), u)
+        assert policy.projected_share == share
+        if projector is polygon:
+            assert share == float(1.0 - polygon.inside(policy.samples(X)).mean())
+
+
+def test_blocks_of_no_states_give_an_empty_batch(monkeypatch, di_table):
+    table, polygon = di_table
+    cfg = SmoothingConfig(sigma=0.5, n_samples=300, seed=1)
+    for block in (100, 2 ** 15):
+        monkeypatch.setattr(smoothing, "SAMPLE_BLOCK", block)
+        for base, projector in ((Rotating(), None), (table, polygon)):
+            u = RandomizedPolicy(base, cfg, projector=projector).eval_batch(np.zeros((0, 2)))
+            assert u.shape == (0, 2 if base is not table else 1)
+
+
+def test_blocks_raise_the_whole_batch_failure_without_a_warning(monkeypatch):
+    # states 1 and 5 fail on over half their samples, in two blocks; state 5,
+    # wholly failed, is named, and no mean of a failed state is taken
+    class FailsRightOfTwo:
+        def eval_batch(self, X):
+            return np.where(X[:, :1] > 2.0, np.nan, X[:, :1])
+
+    X = np.array([[0.0, 0.0], [2.3, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0], [40.0, 0.0],
+                  [60.0, 0.0]])
+    cfg = SmoothingConfig(sigma=0.5, n_samples=300, seed=8)
+    policy = RandomizedPolicy(FailsRightOfTwo(), cfg)
+    with pytest.raises(SmoothingFailureError) as whole:
+        whole_batch(policy, X)
+    assert "100% of smoothing samples failed to evaluate at state 5" in str(whole.value)
+    for block in (600, 900, 100):
+        monkeypatch.setattr(smoothing, "SAMPLE_BLOCK", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SmoothingFailureError) as blocked:
+                policy.eval_batch(X)
+        assert str(blocked.value) == str(whole.value)
